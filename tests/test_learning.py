@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,10 +23,12 @@ from gkat import (
     embed_moore,
     format_event,
     gkat_automaton,
+    gkat_dot,
     glstar,
     lstar_moore,
     minimize,
     minimize_moore,
+    moore_dot,
     moore_isomorphic,
     normalize,
     optimized_counterexample,
@@ -398,3 +401,48 @@ def test_lstar_learns_random_targets():
         )
         result, stats = lstar_moore(teacher_from_moore(target), T1, ACTS)
         assert moore_isomorphic(minimize_moore(result), target)[0] == 1
+
+
+# ===== artifact digest =====
+
+def _learner_artifacts(rng, tests, n_targets, max_states):
+    """Every text artifact of both learners on a seeded corpus: trace lines,
+    table snapshots at each hypothesis, DOT of the result, query stats."""
+    out = []
+
+    def on_event(kind, payload, table):
+        out.append(format_event(kind, payload))
+        if kind == "hypothesis":
+            header, body = table.snapshot()
+            out.extend(",".join(row) for row in [header] + body)
+
+    def finish(dot, stats):
+        out.append(dot)
+        out.append(repr(stats))
+
+    for _ in range(n_targets):
+        target = rand_normal_automaton(rng, tests, ACTS, max_states)
+        for mode in ("suffix", "optimized"):
+            for deduce in (False, True):
+                aut, stats = glstar(
+                    GkatTeacher(target), tests, ACTS,
+                    cx_mode=mode, zero_fill=deduce, on_event=on_event,
+                )
+                finish(gkat_dot(aut), stats)
+        moore_target = minimize_moore(embed_moore(target))
+        result, stats = lstar_moore(
+            MooreTeacher(moore_target), tests, ACTS, on_event=on_event
+        )
+        finish(moore_dot(result), stats)
+    return out
+
+
+def test_learner_artifacts_unchanged():
+    """Trace text, table snapshots and learned machines stay byte-identical."""
+    rng = random.Random(2204)
+    lines = _learner_artifacts(rng, T1, 30, 6)
+    lines += _learner_artifacts(rng, TestSet(("b", "c")), 10, 5)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == (
+        "31b7f5026c1ebc6910f84698364d4fb245ebe3794ad8c62516e26101feeadd52"
+    )
