@@ -80,15 +80,10 @@ from .learning import (
     MooreTeacher,
     QueryStats,
     Teacher,
-    build_hypothesis,
-    close_table,
     format_event,
     glstar,
     lstar_moore,
     optimized_counterexample,
-    teacher_from_gkat,
-    teacher_from_moore,
-    zero_fill,
 )
 
 __version__ = "0.1.0"

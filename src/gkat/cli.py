@@ -3,7 +3,8 @@
 Subcommands: learn (run a learner against an expression and write DOT,
 per-round table CSVs, trace, stats), compare (sweep the test-set size and
 tabulate query counts for both learners), equiv (decide equivalence of two
-expressions via minimization), and words (dump the bounded semantics).
+expressions by a product search of their Moore unfoldings), and words (dump
+the bounded semantics).
 """
 from __future__ import annotations
 
@@ -24,15 +25,15 @@ from .errors import (
 )
 from .syntax import ATOM_LIMIT, TestSet, atoms, embed_kat, parse_exp
 from .language import denote
-from .automata import bisimilar, gkat_dot, isomorphic, minimize, moore_dot, normalize
-from .construct import STATE_LIMIT, gkat_automaton, kat_moore_automaton
-from .learning import (
-    format_event,
-    glstar,
-    lstar_moore,
-    teacher_from_gkat,
-    teacher_from_moore,
+from .automata import (
+    embed_moore,
+    gkat_dot,
+    moore_difference_gs,
+    moore_dot,
+    normalize,
 )
+from .construct import STATE_LIMIT, gkat_automaton, kat_moore_automaton
+from .learning import GkatTeacher, MooreTeacher, format_event, glstar, lstar_moore
 
 CSV_COLUMNS = [
     "algorithm",
@@ -108,7 +109,7 @@ def _run_one(algo, e, tests, actions, config, out_dir=None):
     start = time.perf_counter()
     if algo == "glstar":
         target = normalize(gkat_automaton(e, tests, actions, config.state_cap))
-        teacher = teacher_from_gkat(target)
+        teacher = GkatTeacher(target)
         aut, stats = glstar(
             teacher,
             tests,
@@ -120,7 +121,7 @@ def _run_one(algo, e, tests, actions, config, out_dir=None):
         dot = gkat_dot(aut)
     elif algo == "lstar":
         target = kat_moore_automaton(embed_kat(e), tests, actions, config.state_cap)
-        teacher = teacher_from_moore(target)
+        teacher = MooreTeacher(target)
         aut, stats = lstar_moore(teacher, tests, actions, on_event=on_event)
         dot = moore_dot(aut)
     else:
@@ -207,13 +208,13 @@ def cmd_compare(config: ExperimentConfig) -> int:
 def cmd_equiv(expr1: str, expr2: str, tests: TestSet, actions: Tuple[str, ...]) -> int:
     e1 = parse_exp(expr1, tests, actions)
     e2 = parse_exp(expr2, tests, actions)
-    a1 = minimize(normalize(gkat_automaton(e1, tests, actions)))
-    a2 = minimize(normalize(gkat_automaton(e2, tests, actions)))
-    iso, _ = isomorphic(a1, a2)
-    if iso:
+    a1 = normalize(gkat_automaton(e1, tests, actions))
+    a2 = normalize(gkat_automaton(e2, tests, actions))
+    # the shortlex-least separating string depends only on the languages
+    witness = moore_difference_gs(embed_moore(a1), embed_moore(a2))
+    if witness is None:
         print("equivalent")
         return 0
-    _, witness = bisimilar(a1, a1.initial, a2, a2.initial)
     print("inequivalent; witness: %s" % witness)
     return 1
 
@@ -317,8 +318,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print("capacity exceeded: %s" % exc, file=sys.stderr)
+    except (CapacityError, RecursionError, MemoryError) as exc:
+        # deep nesting exhausts the interpreter stack before any explicit cap
+        reason = str(exc) or type(exc).__name__
+        print("capacity exceeded: %s" % reason, file=sys.stderr)
         return 3
     except (InternalInconsistencyError, NotClosedError, NotNormalError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)

@@ -1,17 +1,19 @@
 """Active learning from observation tables.
 
-Two learners share the same loop shape: fill an observation table, close
-it by promoting unmatched fringe rows, read off a hypothesis, and ask the
+Both learners run one loop over one table engine: fill the table, close it
+by promoting unmatched fringe rows, read off a hypothesis, and ask the
 teacher for equivalence; counterexamples contribute all their suffixes as
-new columns.
+new columns. The two tables differ only in their cell kind.
 
 The guarded learner's rows are dangling words and its columns are guarded
-strings (one cell costs one membership query); the classic Moore learner's
-rows and columns are (atom, action) letter words, and every cell costs one
-query per atom. Query counters tally raw queries as issued, with no
-memoization across cells; an optional deduction mode fills cells that are
-forced to zero by determinacy of guarded languages without consulting the
-teacher.
+strings; a cell is one membership query, and only fringe rows holding a
+one need a matching upper row. The classic Moore learner's rows and
+columns are (atom, action) letter words; a cell is the word's output row,
+one query per atom, and every fringe row needs a matching upper row.
+Query counters tally raw queries as issued, with no memoization across
+cells; an optional deduction mode of the guarded table fills cells that
+are forced to zero by determinacy of guarded languages without consulting
+the teacher.
 """
 from __future__ import annotations
 
@@ -96,14 +98,6 @@ class MooreTeacher(Teacher):
         return moore_difference(hypothesis, self.target)
 
 
-def teacher_from_gkat(target: GkatAutomaton) -> GkatTeacher:
-    return GkatTeacher(target)
-
-
-def teacher_from_moore(target: MooreAutomaton) -> MooreTeacher:
-    return MooreTeacher(target)
-
-
 # ===== Event formatting =====
 
 
@@ -137,18 +131,148 @@ def format_event(kind: str, payload) -> str:
     raise ValueError("unknown event kind: %r" % (kind,))
 
 
+# ===== Table engine =====
+
+
+class ObservationTable:
+    """Rows S and columns E with one filled cell per (row, column) pair.
+
+    The upper rows S start at the empty word and stay prefix-closed; the
+    columns E stay suffix-closed. Fringe rows extend an upper row by one
+    (atom, action) letter. Subclasses set the cell kind: the empty row,
+    the first columns, how a row grows by a letter, how a counterexample
+    splits into suffixes, how a cell is filled, which fringe rows need an
+    upper match, the hypothesis read-off, and how a cell is written in
+    snapshots.
+    """
+
+    def __init__(
+        self,
+        tests: TestSet,
+        actions: Tuple[str, ...],
+        teacher: Teacher,
+        stats: QueryStats,
+        on_event: Optional[Callable] = None,
+    ):
+        self.tests = tests
+        self.actions = tuple(actions)
+        self.teacher = teacher
+        self.stats = stats
+        self.on_event = on_event
+        self.atoms = atoms(tests)
+        self.letters = [(a, p) for a in self.atoms for p in self.actions]
+        self.S = [self._empty_row]
+        self._s_set = {self._empty_row}
+        self.E = self._first_columns()
+        self._e_set = set(self.E)
+        self.cells: Dict[tuple, object] = {}
+        self._emit("columns", tuple(self.E))
+
+    def _emit(self, kind, payload):
+        if self.on_event is not None:
+            self.on_event(kind, payload, self)
+
+    def _query(self, w: GuardedString) -> int:
+        """Ask the teacher one membership query, counted and traced."""
+        bit = self.teacher.membership(w)
+        self.stats.membership_queries += 1
+        self._emit("query", (w, bit))
+        return bit
+
+    def all_rows(self) -> list:
+        rows = list(self.S)
+        seen = set(self._s_set)
+        for s in self.S:
+            for letter in self.letters:
+                t = self._extend(s, letter)
+                if t not in seen:
+                    seen.add(t)
+                    rows.append(t)
+        return rows
+
+    def row(self, t) -> tuple:
+        return tuple(self.cells[(t, e)] for e in self.E)
+
+    def fill(self):
+        for t in self.all_rows():
+            for e in self.E:
+                if (t, e) not in self.cells:
+                    self._fill_cell(t, e)
+        return self
+
+    def unclosed_row(self):
+        upper = {self.row(s) for s in self.S}
+        for t in self.all_rows():
+            if t in self._s_set:
+                continue
+            r = self.row(t)
+            if self._needs_match(r) and r not in upper:
+                return t
+        return None
+
+    def promote(self, t):
+        self.S.append(t)
+        self._s_set.add(t)
+        self._emit("promote", t)
+        self.fill()
+
+    def close(self):
+        while True:
+            t = self.unclosed_row()
+            if t is None:
+                return self
+            self.promote(t)
+
+    def add_counterexample(self, z):
+        for e in self._suffixes(z):
+            if e not in self._e_set:
+                self.E.append(e)
+                self._e_set.add(e)
+        self._emit("columns", tuple(self.E))
+        self.fill()
+
+    def _upper_index(self) -> Dict[tuple, int]:
+        """State number of each upper row's contents; state i is S[i]."""
+        if self.unclosed_row() is not None:
+            raise NotClosedError("table has an unmatched fringe row")
+        index = {}
+        for i, s in enumerate(self.S):
+            r = self.row(s)
+            if r in index:
+                raise InternalInconsistencyError("duplicate upper rows")
+            index[r] = i
+        return index
+
+    def _state(self, index: Dict[tuple, int], t) -> int:
+        r = self.row(t)
+        if r not in index:
+            raise NotClosedError("fringe row has no upper match")
+        return index[r]
+
+    def snapshot(self):
+        """Header and rows for external dumps."""
+        header = ["row"] + [_payload_str(e) for e in self.E]
+        body = []
+        for t in self.all_rows():
+            label = _payload_str(t) + (" *" if t in self._s_set else "")
+            values = [self.cells.get((t, e)) for e in self.E]
+            cells = ["" if v is None else self._cell_str(v) for v in values]
+            body.append([label] + cells)
+        return header, body
+
+
 # ===== Guarded observation table =====
 
 
-class GlObservationTable:
+class GlObservationTable(ObservationTable):
     """Rows are dangling words, columns are guarded strings.
 
-    The upper rows S start at the empty word and stay prefix-closed; the
-    columns E start with all length-one atoms and stay suffix-closed.
-    Fringe rows extend an upper row by one (atom, action) letter; only
-    fringe rows with a one somewhere need a matching upper row for the
-    table to be closed.
+    The columns start with all length-one atoms. A cell is one membership
+    query; only fringe rows with a one somewhere need a matching upper
+    row for the table to be closed.
     """
+
+    _empty_row = EMPTY_PREFIX
 
     def __init__(
         self,
@@ -159,39 +283,20 @@ class GlObservationTable:
         zero_fill: bool = False,
         on_event: Optional[Callable] = None,
     ):
-        self.tests = tests
-        self.actions = tuple(actions)
-        self.teacher = teacher
-        self.stats = stats
         self.zero_fill = zero_fill
-        self.on_event = on_event
-        self.atoms = atoms(tests)
-        self.letters = [(a, p) for a in self.atoms for p in self.actions]
-        self.S: List[GuardedPrefix] = [EMPTY_PREFIX]
-        self._s_set = {EMPTY_PREFIX}
-        self.E: List[GuardedString] = [GuardedString((a,), ()) for a in self.atoms]
-        self._e_set = set(self.E)
-        self.cells: Dict[Tuple[GuardedPrefix, GuardedString], int] = {}
         self.deduced = set()
-        self._emit("columns", tuple(self.E))
+        super().__init__(tests, actions, teacher, stats, on_event)
 
-    def _emit(self, kind, payload):
-        if self.on_event is not None:
-            self.on_event(kind, payload, self)
+    def _first_columns(self) -> List[GuardedString]:
+        return [self._atom_column(a) for a in self.atoms]
 
-    def all_rows(self) -> List[GuardedPrefix]:
-        rows = list(self.S)
-        seen = set(self._s_set)
-        for s in self.S:
-            for a, p in self.letters:
-                t = s.extend(a, p)
-                if t not in seen:
-                    seen.add(t)
-                    rows.append(t)
-        return rows
+    @staticmethod
+    def _extend(s: GuardedPrefix, letter) -> GuardedPrefix:
+        return s.extend(*letter)
 
-    def row(self, t: GuardedPrefix) -> Tuple[int, ...]:
-        return tuple(self.cells[(t, e)] for e in self.E)
+    _suffixes = staticmethod(suffixes_gs)
+    _needs_match = staticmethod(any)
+    _cell_str = staticmethod(str)
 
     def _atom_column(self, atom: Atom) -> GuardedString:
         return GuardedString((atom,), ())
@@ -217,26 +322,16 @@ class GlObservationTable:
                     return True
         return False
 
-    def _fill_cell(self, t: GuardedPrefix, e: GuardedString):
-        key = (t, e)
-        if key in self.cells:
-            return
-        if self.zero_fill and self._deducible_zero(t):
-            self.cells[key] = 0
-            self.deduced.add(key)
-            self.stats.zero_filled += 1
-            return
-        w = t.join(e)
-        bit = self.teacher.membership(w)
-        self.stats.membership_queries += 1
-        self.cells[key] = bit
-        self._emit("query", (w, bit))
+    def _deduce_zero(self, key):
+        self.cells[key] = 0
+        self.deduced.add(key)
+        self.stats.zero_filled += 1
 
-    def fill(self):
-        for t in self.all_rows():
-            for e in self.E:
-                self._fill_cell(t, e)
-        return self
+    def _fill_cell(self, t: GuardedPrefix, e: GuardedString):
+        if self.zero_fill and self._deducible_zero(t):
+            self._deduce_zero((t, e))
+        else:
+            self.cells[(t, e)] = self._query(t.join(e))
 
     def apply_zero_fill(self):
         """Fill every missing cell whose value determinacy already forces,
@@ -245,43 +340,9 @@ class GlObservationTable:
             if not self._deducible_zero(t):
                 continue
             for e in self.E:
-                key = (t, e)
-                if key not in self.cells:
-                    self.cells[key] = 0
-                    self.deduced.add(key)
-                    self.stats.zero_filled += 1
+                if (t, e) not in self.cells:
+                    self._deduce_zero((t, e))
         return self
-
-    def unclosed_row(self) -> Optional[GuardedPrefix]:
-        upper = {self.row(s) for s in self.S}
-        for t in self.all_rows():
-            if t in self._s_set:
-                continue
-            r = self.row(t)
-            if any(r) and r not in upper:
-                return t
-        return None
-
-    def promote(self, t: GuardedPrefix):
-        self.S.append(t)
-        self._s_set.add(t)
-        self._emit("promote", t)
-        self.fill()
-
-    def close(self):
-        while True:
-            t = self.unclosed_row()
-            if t is None:
-                return self
-            self.promote(t)
-
-    def add_counterexample(self, z: GuardedString):
-        for e in suffixes_gs(z):
-            if e not in self._e_set:
-                self.E.append(e)
-                self._e_set.add(e)
-        self._emit("columns", tuple(self.E))
-        self.fill()
 
     def hypothesis(self) -> GkatAutomaton:
         """Read off the automaton; state i is the row of S[i].
@@ -290,22 +351,12 @@ class GlObservationTable:
         if there is one, else accept iff the atom column holds a one, else
         reject.
         """
-        if self.unclosed_row() is not None:
-            raise NotClosedError("table has an unmatched fringe row")
-        row_index = {}
-        for i, s in enumerate(self.S):
-            r = self.row(s)
-            if r in row_index:
-                raise InternalInconsistencyError("duplicate upper rows")
-            row_index[r] = i
+        index = self._upper_index()
         delta = []
         for s in self.S:
             entries = []
             for atom in self.atoms:
-                live = []
-                for p in self.actions:
-                    if any(self.row(s.extend(atom, p))):
-                        live.append(p)
+                live = [p for p in self.actions if any(self.row(s.extend(atom, p)))]
                 accepts = self.cells[(s, self._atom_column(atom))] == 1
                 if len(live) > 1 or (live and accepts):
                     raise InternalInconsistencyError(
@@ -313,40 +364,86 @@ class GlObservationTable:
                     )
                 if live:
                     p = live[0]
-                    target = self.row(s.extend(atom, p))
-                    if target not in row_index:
-                        raise NotClosedError("fringe row has no upper match")
-                    entries.append((p, row_index[target]))
-                elif accepts:
-                    entries.append(1)
+                    entries.append((p, self._state(index, s.extend(atom, p))))
                 else:
-                    entries.append(0)
+                    entries.append(1 if accepts else 0)
             delta.append(tuple(entries))
         return GkatAutomaton(self.tests, self.actions, tuple(delta), 0)
 
-    def snapshot(self):
-        """Header and rows for external dumps."""
-        header = ["row"] + [str(e) for e in self.E]
-        body = []
-        for t in self.all_rows():
-            label = str(t) + (" *" if t in self._s_set else "")
-            body.append([label] + [str(self.cells.get((t, e), "")) for e in self.E])
-        return header, body
+
+# ===== Letter-word observation table =====
 
 
-def close_table(table):
-    return table.close()
+class LStarObservationTable(ObservationTable):
+    """Classic observation table over (atom, action) letter words.
+
+    The only first column is the empty word. A cell holds the whole output
+    row of the word: one bit per atom, each bit one membership query.
+    Closedness has no one-entry side condition here; every fringe row
+    needs a matching upper row.
+    """
+
+    _empty_row = ()
+
+    def _first_columns(self) -> List[tuple]:
+        return [()]
+
+    @staticmethod
+    def _extend(s: tuple, letter) -> tuple:
+        return s + (letter,)
+
+    _suffixes = staticmethod(suffixes_word)
+
+    @staticmethod
+    def _needs_match(r: tuple) -> bool:
+        return True
+
+    @staticmethod
+    def _cell_str(vec: tuple) -> str:
+        return "".join(str(b) for b in vec)
+
+    def _fill_cell(self, t: tuple, e: tuple):
+        word = t + e
+        head = tuple(a for a, _ in word)
+        acts = tuple(p for _, p in word)
+        self.cells[(t, e)] = tuple(
+            self._query(GuardedString(head + (atom,), acts)) for atom in self.atoms
+        )
+
+    def hypothesis(self) -> MooreAutomaton:
+        """Read off the Moore machine; state i is the row of S[i]."""
+        index = self._upper_index()
+        delta = tuple(
+            tuple(self._state(index, s + (letter,)) for letter in self.letters)
+            for s in self.S
+        )
+        outputs = tuple(self.cells[(s, ())] for s in self.S)
+        return MooreAutomaton(self.tests, self.actions, delta, outputs, 0)
 
 
-def zero_fill(table):
-    return table.apply_zero_fill()
+# ===== Learners =====
 
 
-def build_hypothesis(table):
-    return table.hypothesis()
-
-
-# ===== Guarded learner =====
+def _learn(table: ObservationTable, teacher: Teacher, shrink: bool):
+    """The learner loop shared by both tables. With `shrink`, each
+    counterexample is cut to an informative suffix before it is added."""
+    stats = table.stats
+    table.fill()
+    while True:
+        table.close()
+        hyp = table.hypothesis()
+        stats.hypothesis_sizes.append(hyp.n_states)
+        table._emit("hypothesis", hyp.n_states)
+        if stats.equivalence_queries > 10 * (len(table.S) + 1):
+            raise InternalInconsistencyError("equivalence query cap exceeded")
+        z = teacher.equivalence(hyp)
+        stats.equivalence_queries += 1
+        table._emit("equiv", z)
+        if z is None:
+            return hyp, stats
+        if shrink:
+            z = optimized_counterexample(table, z, teacher, hyp)
+        table.add_counterexample(z)
 
 
 def optimized_counterexample(
@@ -367,19 +464,13 @@ def optimized_counterexample(
     if m == 0:
         return z
     for k in range(m, 0, -1):
-        atom, action = z.atoms[k - 1], z.actions[k - 1]
         consumed = GuardedPrefix(tuple(zip(z.atoms[: k - 1], z.actions[: k - 1])))
         state = run_gkat_prefix(hypothesis, hypothesis.initial, consumed)
         if state is None:
             continue
         tail = GuardedString(z.atoms[k - 1 :], z.actions[k - 1 :])
-        access = table.S[state]
         hyp_bit = accepts_gkat(hypothesis, state, tail)
-        w = access.join(tail)
-        real_bit = teacher.membership(w)
-        table.stats.membership_queries += 1
-        table._emit("query", (w, real_bit))
-        if hyp_bit != real_bit:
+        if hyp_bit != table._query(table.S[state].join(tail)):
             return GuardedString(z.atoms[k:], z.actions[k:])
     raise InternalInconsistencyError("counterexample has no informative suffix")
 
@@ -401,161 +492,7 @@ def glstar(
         raise ValueError("unknown counterexample mode: %r" % (cx_mode,))
     stats = QueryStats()
     table = GlObservationTable(tests, actions, teacher, stats, zero_fill, on_event)
-    table.fill()
-    while True:
-        table.close()
-        hyp = table.hypothesis()
-        stats.hypothesis_sizes.append(hyp.n_states)
-        table._emit("hypothesis", hyp.n_states)
-        if stats.equivalence_queries > 10 * (len(table.S) + 1):
-            raise InternalInconsistencyError("equivalence query cap exceeded")
-        z = teacher.equivalence(hyp)
-        stats.equivalence_queries += 1
-        table._emit("equiv", z)
-        if z is None:
-            return hyp, stats
-        if cx_mode == "optimized":
-            z = optimized_counterexample(table, z, teacher, hyp)
-        table.add_counterexample(z)
-
-
-# ===== Letter-word observation table =====
-
-
-class LStarObservationTable:
-    """Classic observation table over (atom, action) letter words.
-
-    A cell holds the whole output row of the word: one bit per atom, each
-    bit one membership query. Closedness has no one-entry side condition
-    here; every fringe row needs a matching upper row.
-    """
-
-    def __init__(
-        self,
-        tests: TestSet,
-        actions: Tuple[str, ...],
-        teacher: Teacher,
-        stats: QueryStats,
-        on_event: Optional[Callable] = None,
-    ):
-        self.tests = tests
-        self.actions = tuple(actions)
-        self.teacher = teacher
-        self.stats = stats
-        self.on_event = on_event
-        self.atoms = atoms(tests)
-        self.letters = [(a, p) for a in self.atoms for p in self.actions]
-        self.S: List[tuple] = [()]
-        self._s_set = {()}
-        self.E: List[tuple] = [()]
-        self._e_set = {()}
-        self.cells: Dict[Tuple[tuple, tuple], Tuple[int, ...]] = {}
-        self._emit("columns", tuple(self.E))
-
-    def _emit(self, kind, payload):
-        if self.on_event is not None:
-            self.on_event(kind, payload, self)
-
-    def all_rows(self) -> List[tuple]:
-        rows = list(self.S)
-        seen = set(self._s_set)
-        for s in self.S:
-            for letter in self.letters:
-                t = s + (letter,)
-                if t not in seen:
-                    seen.add(t)
-                    rows.append(t)
-        return rows
-
-    def _fill_cell(self, t, e):
-        key = (t, e)
-        if key in self.cells:
-            return
-        word = t + e
-        vec = []
-        for atom in self.atoms:
-            w = GuardedString(
-                tuple(a for a, _ in word) + (atom,), tuple(p for _, p in word)
-            )
-            bit = self.teacher.membership(w)
-            self.stats.membership_queries += 1
-            self._emit("query", (w, bit))
-            vec.append(bit)
-        self.cells[key] = tuple(vec)
-
-    def fill(self):
-        for t in self.all_rows():
-            for e in self.E:
-                self._fill_cell(t, e)
-        return self
-
-    def row(self, t) -> tuple:
-        return tuple(self.cells[(t, e)] for e in self.E)
-
-    def unclosed_row(self):
-        upper = {self.row(s) for s in self.S}
-        for t in self.all_rows():
-            if t not in self._s_set and self.row(t) not in upper:
-                return t
-        return None
-
-    def promote(self, t):
-        self.S.append(t)
-        self._s_set.add(t)
-        self._emit("promote", t)
-        self.fill()
-
-    def close(self):
-        while True:
-            t = self.unclosed_row()
-            if t is None:
-                return self
-            self.promote(t)
-
-    def add_counterexample(self, z: tuple):
-        for e in suffixes_word(z):
-            if e not in self._e_set:
-                self.E.append(e)
-                self._e_set.add(e)
-        self._emit("columns", tuple(self.E))
-        self.fill()
-
-    def hypothesis(self) -> MooreAutomaton:
-        """Read off the Moore machine; state i is the row of S[i]."""
-        if self.unclosed_row() is not None:
-            raise NotClosedError("table has an unmatched fringe row")
-        row_index = {}
-        for i, s in enumerate(self.S):
-            r = self.row(s)
-            if r in row_index:
-                raise InternalInconsistencyError("duplicate upper rows")
-            row_index[r] = i
-        delta = []
-        outputs = []
-        for s in self.S:
-            row = []
-            for letter in self.letters:
-                target = self.row(s + (letter,))
-                if target not in row_index:
-                    raise NotClosedError("fringe row has no upper match")
-                row.append(row_index[target])
-            delta.append(tuple(row))
-            outputs.append(self.cells[(s, ())])
-        return MooreAutomaton(
-            self.tests, self.actions, tuple(delta), tuple(outputs), 0
-        )
-
-    def snapshot(self):
-        header = ["row"] + [_word_str(e) for e in self.E]
-        body = []
-        for t in self.all_rows():
-            label = _word_str(t) + (" *" if t in self._s_set else "")
-            cells = []
-            for e in self.E:
-                vec = self.cells.get((t, e))
-                cells.append("" if vec is None else "".join(str(b) for b in vec))
-            body.append([label] + cells)
-        return header, body
+    return _learn(table, teacher, cx_mode == "optimized")
 
 
 def lstar_moore(
@@ -567,17 +504,4 @@ def lstar_moore(
     """Learn a Moore machine for the teacher's language over letter words."""
     stats = QueryStats()
     table = LStarObservationTable(tests, actions, teacher, stats, on_event)
-    table.fill()
-    while True:
-        table.close()
-        hyp = table.hypothesis()
-        stats.hypothesis_sizes.append(hyp.n_states)
-        table._emit("hypothesis", hyp.n_states)
-        if stats.equivalence_queries > 10 * (len(table.S) + 1):
-            raise InternalInconsistencyError("equivalence query cap exceeded")
-        z = teacher.equivalence(hyp)
-        stats.equivalence_queries += 1
-        table._emit("equiv", z)
-        if z is None:
-            return hyp, stats
-        table.add_counterexample(z)
+    return _learn(table, teacher, False)

@@ -9,8 +9,10 @@ import time
 
 from gkat import (
     EMPTY_PREFIX,
+    GkatTeacher,
     GlObservationTable,
     GuardedPrefix,
+    MooreTeacher,
     QueryStats,
     TestSet,
     accepts_gkat,
@@ -30,8 +32,6 @@ from gkat import (
     normalize,
     parse_exp,
     similar,
-    teacher_from_gkat,
-    teacher_from_moore,
     unrolled_while_automaton,
 )
 from helpers import (
@@ -66,7 +66,7 @@ def report(num, name, ok, detail, started, budget):
 def test_criterion_1_guarded_learner_walkthrough():
     started = time.perf_counter()
     target = gkat_automaton(parse_exp(WHILE_PROG, T1, ACTS), T1, ACTS)
-    teacher = teacher_from_gkat(target)
+    teacher = GkatTeacher(target)
     stats = QueryStats()
     table = GlObservationTable(T1, ACTS, teacher, stats)
     table.fill()
@@ -106,7 +106,7 @@ def test_criterion_2_letter_learner_walkthrough():
     started = time.perf_counter()
     e = parse_exp(WHILE_PROG, T1, ACTS)
     moore_target = kat_moore_automaton(embed_kat(e), T1, ACTS)
-    result, stats = lstar_moore(teacher_from_moore(moore_target), T1, ACTS)
+    result, stats = lstar_moore(MooreTeacher(moore_target), T1, ACTS)
     expected_delta = ((2, 1, 0, 2), (2, 2, 2, 2), (2, 2, 2, 2))
     expected_outputs = ((0, 0), (1, 1), (0, 0))
     ok = (
@@ -185,7 +185,7 @@ def _learning_corpus():
                     final_e[0] = len(payload)
 
             aut, stats = glstar(
-                teacher_from_gkat(target),
+                GkatTeacher(target),
                 tests,
                 actions,
                 cx_mode=mode,
@@ -245,10 +245,10 @@ def _sweep_family(expr, test_names, actions, max_n):
         tests = TestSet(test_names[:n])
         e = parse_exp(expr, tests, actions)
         target = normalize(gkat_automaton(e, tests, actions))
-        _, stats = glstar(teacher_from_gkat(target), tests, actions)
+        _, stats = glstar(GkatTeacher(target), tests, actions)
         counts["glstar"].append(stats.membership_queries)
         moore_target = kat_moore_automaton(embed_kat(e), tests, actions)
-        _, stats = lstar_moore(teacher_from_moore(moore_target), tests, actions)
+        _, stats = lstar_moore(MooreTeacher(moore_target), tests, actions)
         counts["lstar"].append(stats.membership_queries)
     return counts
 

@@ -1,11 +1,26 @@
 import csv
+import random
+from dataclasses import replace
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from gkat import (
+    IfThenElse,
+    TestSet,
+    bisimilar,
+    embed_moore,
+    exp_to_str,
+    gkat_automaton,
+    isomorphic,
+    minimize,
+    moore_difference_gs,
+    normalize,
+)
 from gkat.cli import CSV_COLUMNS, ExperimentConfig, main
+from helpers import rand_bexp, rand_exp, rand_normal_automaton
 
 WHILE_PROG = "(while b do do p); do q"
 
@@ -317,6 +332,64 @@ def test_capacity_exit_code(tmp_path, capsys):
     )
     assert rc == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def test_deep_equiv_never_reports_inequivalent(capsys):
+    """300 nested loops overflow the interpreter stack; that is a capacity
+    limit, never the verdict 'inequivalent'."""
+    deep = "; ".join(["while b do do p"] * 300) + "; do q"
+    rc = main(
+        ["equiv", "--expr", deep, "--expr2", deep, "--tests", "b", "--actions", "p,q"]
+    )
+    assert rc in (0, 3)
+    if rc == 3:
+        assert "capacity" in capsys.readouterr().err
+
+
+def _equiv_by_minimization(a1, a2):
+    """Verdict and witness by the earlier route: minimize both sides, test
+    isomorphism, and take the witness from bisimilar."""
+    m1, m2 = minimize(a1), minimize(a2)
+    if isomorphic(m1, m2)[0]:
+        return None
+    return bisimilar(m1, m1.initial, m2, m2.initial)[1]
+
+
+def _mutant(rng, aut):
+    """The automaton with one transition entry redrawn, normalized."""
+    delta = [list(row) for row in aut.delta]
+    x = rng.randrange(aut.n_states)
+    delta[x][rng.randrange(len(delta[x]))] = rng.choice(
+        [0, 1, (rng.choice(aut.actions), rng.randrange(aut.n_states))]
+    )
+    return normalize(replace(aut, delta=tuple(tuple(row) for row in delta)))
+
+
+def test_equiv_agrees_with_minimization_route(capsys):
+    """`equiv` on programs that agree except under one guard, and the
+    difference search on automata that differ in one entry, give the
+    verdicts and witnesses of the minimization route."""
+    rng = random.Random(218)
+    actions = ("p", "q")
+    for trial in range(200):
+        tests = TestSet(("b", "c")[: 1 + trial % 2])
+        e1 = rand_exp(rng, tests, actions, 3)
+        e2 = IfThenElse(rand_bexp(rng, tests, 2), e1, rand_exp(rng, tests, actions, 3))
+        rc = main(["equiv", "--expr", exp_to_str(e1), "--expr2", exp_to_str(e2),
+                   "--tests", ",".join(tests.tests), "--actions", ",".join(actions)])
+        out = capsys.readouterr().out
+        auts = [normalize(gkat_automaton(e, tests, actions)) for e in (e1, e2)]
+        witness = _equiv_by_minimization(*auts)
+        if witness is None:
+            assert (rc, out) == (0, "equivalent\n")
+        else:
+            assert (rc, out) == (1, "inequivalent; witness: %s\n" % witness)
+
+        a1 = rand_normal_automaton(rng, tests, actions, 6)
+        a2 = _mutant(rng, a1)
+        assert moore_difference_gs(embed_moore(a1), embed_moore(a2)) == (
+            _equiv_by_minimization(a1, a2)
+        )
 
 
 def test_usage_error_is_systemexit():

@@ -18,8 +18,6 @@ from gkat import (
     TestSet,
     atoms,
     bisimilar,
-    build_hypothesis,
-    close_table,
     embed_moore,
     format_event,
     gkat_automaton,
@@ -33,9 +31,6 @@ from gkat import (
     normalize,
     optimized_counterexample,
     parse_exp,
-    teacher_from_gkat,
-    teacher_from_moore,
-    zero_fill,
 )
 from helpers import rand_normal_automaton
 
@@ -76,7 +71,7 @@ def control_lines(log):
 def test_glstar_full_run_trace():
     target = loop_target()
     log, on_event = record_events()
-    aut, stats = glstar(teacher_from_gkat(target), T1, ACTS, on_event=on_event)
+    aut, stats = glstar(GkatTeacher(target), T1, ACTS, on_event=on_event)
 
     assert aut.delta == TARGET_DELTA
     assert bisimilar(aut, 0, target, 0) == (1, None)
@@ -122,7 +117,7 @@ def test_glstar_full_run_trace():
 def test_glstar_table_milestones():
     """Drive the table by hand through the same run."""
     target = loop_target()
-    teacher = teacher_from_gkat(target)
+    teacher = GkatTeacher(target)
     stats = QueryStats()
     table = GlObservationTable(T1, ACTS, teacher, stats)
     table.fill()
@@ -132,9 +127,9 @@ def test_glstar_table_milestones():
     with pytest.raises(NotClosedError):
         table.hypothesis()
 
-    close_table(table)
+    table.close()
     assert [str(s) for s in table.S] == ["ε", "b̄q"]
-    hyp = build_hypothesis(table)
+    hyp = table.hypothesis()
     assert hyp.n_states == 2
     assert hyp.delta[0][POS.bits] == 0  # loop atom wrongly rejects so far
 
@@ -156,7 +151,7 @@ def test_glstar_table_milestones():
 
 def test_glstar_optimized_counterexample():
     target = loop_target()
-    teacher = teacher_from_gkat(target)
+    teacher = GkatTeacher(target)
     stats = QueryStats()
     table = GlObservationTable(T1, ACTS, teacher, stats)
     table.fill()
@@ -175,7 +170,7 @@ def test_glstar_optimized_full_run():
     target = loop_target()
     log, on_event = record_events()
     aut, stats = glstar(
-        teacher_from_gkat(target), T1, ACTS, cx_mode="optimized", on_event=on_event
+        GkatTeacher(target), T1, ACTS, cx_mode="optimized", on_event=on_event
     )
     assert aut.delta == TARGET_DELTA
     assert stats.membership_queries == 28
@@ -192,7 +187,7 @@ def test_glstar_optimized_full_run():
 
 def test_glstar_zero_fill_deduces_without_asking():
     target = loop_target()
-    teacher = teacher_from_gkat(target)
+    teacher = GkatTeacher(target)
     aut, stats = glstar(teacher, T1, ACTS, zero_fill=True)
     assert aut.delta == TARGET_DELTA
     assert stats.membership_queries == 16
@@ -203,7 +198,7 @@ def test_glstar_zero_fill_deduces_without_asking():
 def test_zero_fill_audit():
     """Every deduced cell holds the value the teacher would have given."""
     target = loop_target()
-    teacher = teacher_from_gkat(target)
+    teacher = GkatTeacher(target)
     stats = QueryStats()
     table = GlObservationTable(T1, ACTS, teacher, stats, zero_fill=True)
     table.fill()
@@ -218,26 +213,26 @@ def test_zero_fill_audit():
 
 def test_apply_zero_fill_on_plain_table():
     target = loop_target()
-    teacher = teacher_from_gkat(target)
+    teacher = GkatTeacher(target)
     stats = QueryStats()
     table = GlObservationTable(T1, ACTS, teacher, stats)
     table.fill()
     table.close()
     filled = dict(table.cells)
-    zero_fill(table)
+    table.apply_zero_fill()
     # already-filled cells never flip, and no new key appears post fill
     assert table.cells == filled
 
 
 def test_glstar_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        glstar(teacher_from_gkat(loop_target()), T1, ACTS, cx_mode="fancy")
+        glstar(GkatTeacher(loop_target()), T1, ACTS, cx_mode="fancy")
 
 
 def test_hypothesis_reports_duplicate_upper_rows():
     target = loop_target()
     stats = QueryStats()
-    table = GlObservationTable(T1, ACTS, teacher_from_gkat(target), stats)
+    table = GlObservationTable(T1, ACTS, GkatTeacher(target), stats)
     table.fill()
     table.close()
     table.promote(GuardedPrefix(((POS, "p"),)))  # same row as the empty word
@@ -289,7 +284,7 @@ def test_lstar_full_run_trace():
     moore_target = minimize_moore(embed_moore(target))
     log, on_event = record_events()
     result, stats = lstar_moore(
-        teacher_from_moore(moore_target), T1, ACTS, on_event=on_event
+        MooreTeacher(moore_target), T1, ACTS, on_event=on_event
     )
 
     assert result.n_states == 3
@@ -328,7 +323,7 @@ def test_lstar_not_closed_error():
     target = loop_target()
     moore_target = minimize_moore(embed_moore(target))
     stats = QueryStats()
-    table = LStarObservationTable(T1, ACTS, teacher_from_moore(moore_target), stats)
+    table = LStarObservationTable(T1, ACTS, MooreTeacher(moore_target), stats)
     table.fill()
     with pytest.raises(NotClosedError):
         table.hypothesis()
@@ -385,7 +380,7 @@ def test_glstar_learns_random_targets():
                     checked.append(kind)
 
             aut, stats = glstar(
-                teacher_from_gkat(target), T1, ACTS, cx_mode=mode, on_event=on_event
+                GkatTeacher(target), T1, ACTS, cx_mode=mode, on_event=on_event
             )
             assert checked
             assert bisimilar(aut, 0, target, 0) == (1, None)
@@ -399,7 +394,7 @@ def test_lstar_learns_random_targets():
         target = minimize_moore(
             embed_moore(rand_normal_automaton(rng, T1, ACTS, rng.randint(1, 4)))
         )
-        result, stats = lstar_moore(teacher_from_moore(target), T1, ACTS)
+        result, stats = lstar_moore(MooreTeacher(target), T1, ACTS)
         assert moore_isomorphic(minimize_moore(result), target)[0] == 1
 
 
