@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -129,3 +130,64 @@ def test_two_tests_program():
     assert aut.delta == ((1, 1, 1, ("p", 0)),)
     for w in enumerate_guarded_strings(tests, ACTS, 2):
         assert accepts_gkat(aut, 0, w) == member(e, w, tests, ACTS)
+
+
+# ===== Pinned construction output =====
+
+ONE_DROPPING = [
+    "do p; assert 1",
+    "assert 1; do p",
+    "(do p; assert 1); do q",
+    "(do p; do q); assert 1",
+    "((do p; do q); assert 1); (assert 1; do q)",
+    "(((assert 1; do p); assert 1); do q); assert 1",
+    "do p; ((do q; do p); assert 1); do q",
+    "while b do ((do p; assert 1); assert 1)",
+    "(while b do do p; assert 1); (do q; assert 1)",
+    "while b do (((do p; assert b); do q); assert 1)",
+    "if b then ((do p; assert 1); do q) else (assert 1; (do q; do p))",
+    "((while b do do p); (while b do do q)); ((do p; assert 1); assert 1)",
+    "(((do p; do q); do p); assert 1); do q",
+    "(((while b do do p); do q); assert 1); do p",
+]
+
+ONE_DROPPING_2 = [
+    "while b do (while c do (do p; assert 1)); (do q; (assert 1; do p))",
+    "((if c then do p else (do q; assert 1)); assert b); (while c do do q)",
+    "(((while b and c do do p); assert 1); do q); (assert not c; do p)",
+]
+
+
+def _nested_loops(k):
+    return "; ".join(["while b do do p"] * k) + "; do q"
+
+
+def _unrolled_loops(k):
+    return "if b then (do p; %s); (%s) else assert 1" % (
+        _nested_loops(k - 1),
+        _nested_loops(k),
+    )
+
+
+def test_constructions_unchanged():
+    """Derivative automata and KAT Moore machines stay byte-identical."""
+    T2 = TestSet(("b", "c"))
+    corpus = []  # (expression, test set, also build the KAT machine)
+    rng = random.Random(4004)
+    for tests, count in ((T1, 300), (T2, 150)):
+        corpus += [(rand_exp(rng, tests, ACTS, depth=5), tests, True) for _ in range(count)]
+    corpus += [(parse_exp(text, T1, ACTS), T1, True) for text in ONE_DROPPING]
+    corpus += [(parse_exp(text, T2, ACTS), T2, True) for text in ONE_DROPPING_2]
+    for k in (2, 3, 7, 22, 62):
+        for text in (_nested_loops(k), _unrolled_loops(k)):
+            corpus.append((parse_exp(text, T1, ACTS), T1, k <= 22))
+    lines = []
+    for e, tests, kat in corpus:
+        lines.append(repr(gkat_automaton(e, tests, ACTS).delta))
+        if kat:
+            m = kat_moore_automaton(embed_kat(e), tests, ACTS)
+            lines.append(repr((m.delta, m.outputs)))
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == (
+        "19dacbbf16c5451ca3a01ff6fa92fe8c25bd60788659da02096a5f2cc5646339"
+    )
