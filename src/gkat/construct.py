@@ -4,6 +4,16 @@ Both constructions take syntactic derivatives and explore the reachable
 residuals breadth-first: guarded expressions become guarded automata
 directly, and plain KAT terms become Moore machines via Brzozowski-style
 derivatives over (atom, action) letters.
+
+A guarded residual is a left-nested sequence Seq(...Seq(Seq(h, r1), r2)
+..., rn): each loop turn wraps the residual in one more Seq, so on n
+nested loops residuals grow to depth n, and building each one as a tree
+copies its whole left spine, O(n^2) live nodes in all. `gkat_automaton`
+instead keeps a residual as its head h, which is no Seq, and an interned
+list of the pending right operands r1, ..., rn, so residuals share their
+tails and a step adds only the few operands it exposes. The encoding is
+a bijection on trees, so residuals are identified exactly as trees
+would be.
 """
 from __future__ import annotations
 
@@ -12,7 +22,6 @@ from typing import Tuple
 
 from .errors import CapacityError
 from .automata import GkatAutomaton, MooreAutomaton
-from .language import _collect_actions
 from .syntax import (
     Act,
     Exp,
@@ -31,6 +40,7 @@ from .syntax import (
     Seq,
     TestSet,
     While,
+    _check_actions,
     atom_satisfies,
     atoms,
     is_bexp,
@@ -41,14 +51,6 @@ from .syntax import (
 STATE_LIMIT = 100_000
 
 _ONE = One()
-
-
-def _check_actions(e, actions):
-    used = set()
-    _collect_actions(e, used)
-    missing = used - set(actions)
-    if missing:
-        raise ValueError("undeclared actions: %s" % ", ".join(sorted(missing)))
 
 
 def _seq1(e: Exp, f: Exp) -> Exp:
@@ -87,6 +89,66 @@ def _step(e: Exp, atom):
     raise TypeError("not an expression: %r" % (e,))
 
 
+class _Residuals:
+    """Residuals of one construction, as (head, tail) pairs.
+
+    A tail is an int: 0 is the empty list, and any other tail is the
+    index of its cell (operand, rest, holds_one) in `cells`, interned so
+    that equal lists get the same index. `holds_one` says whether One
+    occurs anywhere in the list.
+    """
+
+    def __init__(self):
+        self.cells = [(None, 0, False)]
+        self.ids = {}
+
+    def cons(self, r: Exp, rest: int) -> int:
+        key = (r, rest)
+        tail = self.ids.get(key)
+        if tail is None:
+            tail = self.ids[key] = len(self.cells)
+            self.cells.append((r, rest, isinstance(r, One) or self.cells[rest][2]))
+        return tail
+
+    def fold(self, x: Exp, tail: int):
+        """The residual x followed by the operands of tail, folded the way
+        `_seq1` folds them: a One accumulator is replaced by the next
+        operand, and One operands after it are dropped."""
+        cells = self.cells
+        if isinstance(x, One):
+            while tail and isinstance(cells[tail][0], One):
+                tail = cells[tail][1]
+            if not tail:
+                return (x, 0)
+            x, tail, _ = cells[tail]
+        if cells[tail][2]:
+            kept = []
+            while cells[tail][2]:
+                r, tail, _ = cells[tail]
+                if not isinstance(r, One):
+                    kept.append(r)
+            for r in reversed(kept):
+                tail = self.cons(r, tail)
+        spine = []
+        while isinstance(x, Seq):
+            spine.append(x.right)
+            x = x.left
+        for r in spine:
+            tail = self.cons(r, tail)
+        return (x, tail)
+
+    def step(self, residual, atom):
+        """`_step` of the residual as a tree, without building the tree."""
+        e, tail = residual
+        while True:
+            d = _step(e, atom)
+            if isinstance(d, tuple):
+                return (d[0], self.fold(d[1], tail))
+            if d == 0 or not tail:
+                return d
+            e, tail, _ = self.cells[tail]
+
+
 def gkat_automaton(
     e: Exp,
     tests: TestSet,
@@ -96,24 +158,24 @@ def gkat_automaton(
     """The derivative automaton of e; state 0 is e itself."""
     _check_actions(e, actions)
     ats = atoms(tests)
-    states = [e]
-    index = {e: 0}
-    queue = deque([e])
+    residuals = _Residuals()
+    start = residuals.fold(e, 0)
+    index = {start: 0}
+    queue = deque([start])
     delta = []
     while queue:
         cur = queue.popleft()
         row = []
         for atom in ats:
-            d = _step(cur, atom)
+            d = residuals.step(cur, atom)
             if isinstance(d, tuple):
                 p, residual = d
                 if residual not in index:
-                    if len(states) >= max_states:
+                    if len(index) >= max_states:
                         raise CapacityError(
                             "more than %d residuals" % max_states
                         )
-                    index[residual] = len(states)
-                    states.append(residual)
+                    index[residual] = len(index)
                     queue.append(residual)
                 row.append((p, index[residual]))
             else:

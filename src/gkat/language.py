@@ -8,7 +8,7 @@ learners, not as an efficient decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Tuple
 
 from .errors import CapacityError
 from .syntax import (
@@ -20,6 +20,7 @@ from .syntax import (
     Seq,
     TestSet,
     While,
+    _check_actions,
     atom_satisfies,
     atoms,
     fuse,
@@ -58,19 +59,6 @@ def word_sort_key(w: GuardedString, actions: Tuple[str, ...]):
 
 def _single(a: Atom) -> GuardedString:
     return GuardedString((a,), ())
-
-
-def _collect_actions(e: Exp, out: Set[str]):
-    if isinstance(e, Act):
-        out.add(e.name)
-    elif isinstance(e, Seq):
-        _collect_actions(e.left, out)
-        _collect_actions(e.right, out)
-    elif isinstance(e, IfThenElse):
-        _collect_actions(e.then_branch, out)
-        _collect_actions(e.else_branch, out)
-    elif isinstance(e, While):
-        _collect_actions(e.body, out)
 
 
 def _fuse_sets(left, right, k, cap):
@@ -134,11 +122,7 @@ def denote(
     max_words: int = WORD_LIMIT,
 ) -> BoundedLanguage:
     """Compute the semantics of e cut off at k actions."""
-    used = set()
-    _collect_actions(e, used)
-    missing = used - set(actions)
-    if missing:
-        raise ValueError("undeclared actions: %s" % ", ".join(sorted(missing)))
+    _check_actions(e, actions)
     ats = atoms(tests)
     return BoundedLanguage(frozenset(_denote(e, k, ats, max_words)), k)
 

@@ -141,9 +141,9 @@ class ObservationTable:
     columns E stay suffix-closed. Fringe rows extend an upper row by one
     (atom, action) letter. Subclasses set the cell kind: the empty row,
     the first columns, how a row grows by a letter, how a counterexample
-    splits into suffixes, how a cell is filled, which fringe rows need an
-    upper match, the hypothesis read-off, and how a cell is written in
-    snapshots.
+    splits into suffixes, how a row's missing cells are filled, which
+    fringe rows need an upper match, the hypothesis read-off, and how a
+    cell is written in snapshots.
     """
 
     def __init__(
@@ -195,9 +195,9 @@ class ObservationTable:
 
     def fill(self):
         for t in self.all_rows():
-            for e in self.E:
-                if (t, e) not in self.cells:
-                    self._fill_cell(t, e)
+            missing = [e for e in self.E if (t, e) not in self.cells]
+            if missing:
+                self._fill_row(t, missing)
         return self
 
     def unclosed_row(self):
@@ -327,11 +327,15 @@ class GlObservationTable(ObservationTable):
         self.deduced.add(key)
         self.stats.zero_filled += 1
 
-    def _fill_cell(self, t: GuardedPrefix, e: GuardedString):
+    def _fill_row(self, t: GuardedPrefix, columns: List[GuardedString]):
+        # Deducibility reads only the parent's and the siblings' cells, never
+        # row t's own, so one answer holds while the row fills.
         if self.zero_fill and self._deducible_zero(t):
-            self._deduce_zero((t, e))
+            for e in columns:
+                self._deduce_zero((t, e))
         else:
-            self.cells[(t, e)] = self._query(t.join(e))
+            for e in columns:
+                self.cells[(t, e)] = self._query(t.join(e))
 
     def apply_zero_fill(self):
         """Fill every missing cell whose value determinacy already forces,
@@ -402,13 +406,14 @@ class LStarObservationTable(ObservationTable):
     def _cell_str(vec: tuple) -> str:
         return "".join(str(b) for b in vec)
 
-    def _fill_cell(self, t: tuple, e: tuple):
-        word = t + e
-        head = tuple(a for a, _ in word)
-        acts = tuple(p for _, p in word)
-        self.cells[(t, e)] = tuple(
-            self._query(GuardedString(head + (atom,), acts)) for atom in self.atoms
-        )
+    def _fill_row(self, t: tuple, columns: List[tuple]):
+        for e in columns:
+            word = t + e
+            head = tuple(a for a, _ in word)
+            acts = tuple(p for _, p in word)
+            self.cells[(t, e)] = tuple(
+                self._query(GuardedString(head + (atom,), acts)) for atom in self.atoms
+            )
 
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""

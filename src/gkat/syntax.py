@@ -4,11 +4,17 @@ Boolean guards, program expressions, atoms (truth assignments over the
 declared tests), guarded strings and prefixes with fusion, the imperative
 concrete syntax parser, pretty printers, and the embedding into plain
 Kleene algebra with tests terms.
+
+Expression, guard and KAT term nodes are immutable, and each node's hash
+is fixed at construction from its children's stored hashes. Hashing a
+node, for example to look a residual up in a dict, therefore costs O(1)
+and never recurses, however deep the tree below it is.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from .errors import CapacityError, ParseError
@@ -56,8 +62,40 @@ class TestSet:
 # ===== Boolean guards and program expressions =====
 
 
+def _stored_hash(node):
+    return node._hash
+
+
+def _hash_once(cls):
+    """Make a node class a frozen, slotted dataclass whose hash is fixed at
+    construction.
+
+    The stored hash equals the frozen dataclass hash of the field tuple;
+    it is taken once, from the children's stored hashes.
+    """
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    if len(names) > 1:
+        fields_of = attrgetter(*names)
+    else:  # attrgetter of a single name returns the bare value
+
+        def fields_of(node):
+            return tuple(map(node.__getattribute__, names))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(fields_of(self)))
+
+    cls.__annotations__ = {**annotations, "_hash": "int"}
+    cls._hash = field(init=False, repr=False, compare=False)
+    cls.__post_init__ = __post_init__
+    cls.__hash__ = _stored_hash
+    return dataclass(frozen=True, slots=True)(cls)
+
+
 class Exp:
     """Base class for program expressions."""
+
+    __slots__ = ()
 
     def __str__(self):
         return exp_to_str(self)
@@ -66,61 +104,63 @@ class Exp:
 class BExp(Exp):
     """Base class for boolean guards; guards are also expressions."""
 
+    __slots__ = ()
+
     def __str__(self):
         return bexp_to_str(self)
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Zero(BExp):
     pass
 
 
-@dataclass(frozen=True)
+@_hash_once
 class One(BExp):
     pass
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Test(BExp):
     name: str
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Not(BExp):
     arg: "BExp"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class And(BExp):
     left: "BExp"
     right: "BExp"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Or(BExp):
     left: "BExp"
     right: "BExp"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Act(Exp):
     name: str
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Seq(Exp):
     left: "Exp"
     right: "Exp"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class IfThenElse(Exp):
     cond: "BExp"
     then_branch: "Exp"
     else_branch: "Exp"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class While(Exp):
     cond: "BExp"
     body: "Exp"
@@ -128,6 +168,28 @@ class While(Exp):
 
 def is_bexp(e: Exp) -> bool:
     return isinstance(e, BExp)
+
+
+def _check_actions(e: Exp, actions) -> None:
+    """Reject expressions that use an action outside `actions`.
+
+    The walk keeps its own stack, so deep trees do not recurse.
+    """
+    used = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Act):
+            used.add(x.name)
+        elif isinstance(x, Seq):
+            stack += (x.left, x.right)
+        elif isinstance(x, IfThenElse):
+            stack += (x.then_branch, x.else_branch)
+        elif isinstance(x, While):
+            stack.append(x.body)
+    missing = used - set(actions)
+    if missing:
+        raise ValueError("undeclared actions: %s" % ", ".join(sorted(missing)))
 
 
 # ===== Atoms =====
@@ -283,41 +345,43 @@ def suffixes_word(w: tuple) -> List[tuple]:
 
 
 class KatExp:
+    __slots__ = ()
+
     def __str__(self):
         return kat_to_str(self)
 
 
-@dataclass(frozen=True)
+@_hash_once
 class KZero(KatExp):
     pass
 
 
-@dataclass(frozen=True)
+@_hash_once
 class KOne(KatExp):
     pass
 
 
-@dataclass(frozen=True)
+@_hash_once
 class KTest(KatExp):
     arg: BExp
 
 
-@dataclass(frozen=True)
+@_hash_once
 class KAct(KatExp):
     name: str
 
 
-@dataclass(frozen=True)
+@_hash_once
 class KPlus(KatExp):
     terms: Tuple[KatExp, ...]
 
 
-@dataclass(frozen=True)
+@_hash_once
 class KSeq(KatExp):
     parts: Tuple[KatExp, ...]
 
 
-@dataclass(frozen=True)
+@_hash_once
 class KStar(KatExp):
     arg: KatExp
 

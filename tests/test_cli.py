@@ -20,6 +20,7 @@ from gkat import (
     normalize,
 )
 from gkat.cli import CSV_COLUMNS, ExperimentConfig, main
+from gkat.syntax import MACRON
 from helpers import rand_bexp, rand_exp, rand_normal_automaton
 
 WHILE_PROG = "(while b do do p); do q"
@@ -334,16 +335,41 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
-def test_deep_equiv_never_reports_inequivalent(capsys):
-    """300 nested loops overflow the interpreter stack; that is a capacity
-    limit, never the verdict 'inequivalent'."""
-    deep = "; ".join(["while b do do p"] * 300) + "; do q"
-    rc = main(
-        ["equiv", "--expr", deep, "--expr2", deep, "--tests", "b", "--actions", "p,q"]
+def _nested_loops(k, last):
+    return "; ".join(["while b do do p"] * k) + "; do " + last
+
+
+def _equiv_deep(e1, e2):
+    return main(
+        ["equiv", "--expr", e1, "--expr2", e2, "--tests", "b", "--actions", "p,q,r"]
     )
-    assert rc in (0, 3)
-    if rc == 3:
-        assert "capacity" in capsys.readouterr().err
+
+
+def test_deep_equiv_never_reports_inequivalent(capsys):
+    """300 nested loops are decided, not cut off by the interpreter stack."""
+    deep = _nested_loops(300, "q")
+    assert _equiv_deep(deep, deep) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+
+def test_deep_equiv_witness(capsys):
+    rc = _equiv_deep(_nested_loops(300, "q"), _nested_loops(300, "r"))
+    assert rc == 1
+    neg = "b" + MACRON
+    assert capsys.readouterr().out == "inequivalent; witness: %s%sq%s\n" % (
+        "bp" * 300,
+        neg,
+        neg,
+    )
+
+
+def test_too_deep_equiv_is_a_capacity_limit(capsys):
+    """Nesting past what the parser can take exits 3, without a traceback."""
+    deep = _nested_loops(1000, "q")
+    assert _equiv_deep(deep, deep) == 3
+    err = capsys.readouterr().err
+    assert "capacity" in err
+    assert "Traceback" not in err
 
 
 def _equiv_by_minimization(a1, a2):

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -28,7 +31,18 @@ from gkat import (
     suffixes_gs,
     suffixes_word,
 )
-from gkat.syntax import KAct, KSeq, KStar, KTest, KONE, KZERO, kplus, kseq, kstar
+from gkat.syntax import (
+    KAct,
+    KPlus,
+    KSeq,
+    KStar,
+    KTest,
+    KONE,
+    KZERO,
+    kplus,
+    kseq,
+    kstar,
+)
 
 T1 = TestSet(("b",))
 T2 = TestSet(("a", "b"))
@@ -292,3 +306,27 @@ def test_embed_primitives():
     assert embed_kat(Zero()) == KZERO
     assert embed_kat(One()) == KONE
     assert embed_kat(Test("b")) == KTest(Test("b"))
+
+
+# ===== node hashes =====
+
+
+def test_node_hash_is_fixed_at_construction():
+    """Hashing never walks the tree: a node 100,000 sequences deep hashes
+    at once, to the hash of its field tuple, as every node kind does."""
+    deep = Act("p")
+    for _ in range(100_000):
+        deep = Seq(deep, Act("q"))
+    assert hash(deep) == hash((deep.left, deep.right))
+    b = Test("b")
+    nodes = [
+        Zero(), One(), b, Not(b), And(b, One()), Or(Zero(), b), Act("p"),
+        Seq(Act("p"), b), IfThenElse(b, Act("p"), One()), While(b, Act("p")),
+        KZERO, KONE, KTest(b), KAct("p"), KPlus((KONE, KAct("p"))),
+        KSeq((KAct("p"), KAct("q"))), KStar(KAct("p")),
+    ]
+    for node in nodes:
+        values = tuple(getattr(node, f.name) for f in fields(node) if f.compare)
+        assert hash(node) == hash(values), node
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy == node and hash(copy) == hash(node)
