@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 import random
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from gkat import (
@@ -80,6 +81,28 @@ def rand_automaton(
 
 def rand_normal_automaton(rng, tests, actions, max_states) -> GkatAutomaton:
     return normalize(rand_automaton(rng, tests, actions, max_states))
+
+
+def mutant(rng: random.Random, aut: GkatAutomaton) -> GkatAutomaton:
+    """The automaton with one transition entry redrawn, normalized."""
+    delta = [list(row) for row in aut.delta]
+    x = rng.randrange(aut.n_states)
+    delta[x][rng.randrange(len(delta[x]))] = rng.choice(
+        [0, 1, (rng.choice(aut.actions), rng.randrange(aut.n_states))]
+    )
+    return normalize(replace(aut, delta=tuple(tuple(row) for row in delta)))
+
+
+def renumbered(rng: random.Random, aut: GkatAutomaton) -> GkatAutomaton:
+    """The same automaton with its states shuffled, initial state included."""
+    perm = list(range(aut.n_states))
+    rng.shuffle(perm)
+    delta = [None] * aut.n_states
+    for old, new in enumerate(perm):
+        delta[new] = tuple(
+            (e[0], perm[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[old]
+        )
+    return GkatAutomaton(aut.tests, aut.actions, tuple(delta), perm[aut.initial])
 
 
 def rand_live_normal_automaton(rng, tests, actions, max_states) -> GkatAutomaton:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -34,8 +35,10 @@ from gkat import (
 )
 from helpers import (
     enumerate_guarded_strings,
+    mutant,
     rand_automaton,
     rand_normal_automaton,
+    renumbered,
 )
 
 T1 = TestSet(("b",))
@@ -398,3 +401,89 @@ def test_moore_dot():
     assert '"x1\\n1b̄ + 1b"' in text
     assert 's0 -> s1 [label="b̄q"];' in text
     assert text.count("->") == 3 * 4 + 1
+
+
+# ===== pinned outputs =====
+
+def _isomorphism(fn, a, b):
+    """Verdict and sorted mapping, or a token carrying the ValueError."""
+    try:
+        verdict, mapping = fn(a, b)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+    return repr((verdict, None if mapping is None else sorted(mapping.items())))
+
+
+def _machine(m):
+    return repr((m.delta, m.outputs, m.initial))
+
+
+def _comparison_lines(a, b):
+    """Outputs of every comparison on one pair of guarded automata."""
+    ma, mb = embed_moore(a), embed_moore(b)
+    lines = [_isomorphism(isomorphic, a, b), _isomorphism(moore_isomorphic, ma, mb)]
+    lines.append(_isomorphism(moore_isomorphic, minimize_moore(ma), minimize_moore(mb)))
+    for x in range(min(3, a.n_states)):
+        for y in range(min(3, b.n_states)):
+            verdict, witness = bisimilar(a, x, b, y)
+            lines.append("%d %d %d %s" % (x, y, verdict, witness))
+    lines.append(repr(moore_difference(ma, mb)))
+    lines.append(str(moore_difference_gs(ma, mb)))
+    return lines
+
+
+def _machine_lines(a):
+    """Outputs of reachability and minimization on one guarded automaton."""
+    base, witnesses = reachable(a)
+    lines = [repr(base.delta), " ".join(str(w) for w in witnesses)]
+    lines.append(repr(minimize(a).delta) if is_normal(a) else "not normal")
+    m = embed_moore(a)
+    lines += [_machine(moore_reachable(m)), _machine(minimize_moore(m))]
+    return lines
+
+
+def _split_state(rng, aut):
+    """A reachable, non-observable copy: one step is redirected to a new
+    duplicate of its target state."""
+    steps = [(x, bits) for x, row in enumerate(aut.delta)
+             for bits, e in enumerate(row) if isinstance(e, tuple)]
+    if not steps:
+        return aut
+    x, bits = rng.choice(steps)
+    p, y = aut.delta[x][bits]
+    delta = list(aut.delta) + [aut.delta[y]]
+    delta[x] = tuple((p, aut.n_states) if b == bits else e for b, e in enumerate(delta[x]))
+    return GkatAutomaton(aut.tests, aut.actions, tuple(delta), aut.initial)
+
+
+def test_comparisons_unchanged():
+    """Reachability, minimization, isomorphism, bisimilarity and the Moore
+    difference search stay byte-identical on seeded corpora."""
+    rng = random.Random(5005)
+    T2 = TestSet(("b", "c"))
+    pairs = []
+    unrolled = fixture()
+    pairs += [(unrolled, renumbered(rng, unrolled)), (unrolled, minimal_loop())]
+    for tests, count in ((T1, 60), (T2, 30)):
+        for _ in range(count):
+            raw = rand_automaton(rng, tests, ACTS, 6)
+            normal = rand_normal_automaton(rng, tests, ACTS, 6)
+            small = minimize(normal)
+            split = _split_state(rng, small)
+            pairs += [
+                (raw, normalize(raw)),
+                (raw, renumbered(rng, raw)),
+                (normal, renumbered(rng, normal)),
+                (normal, mutant(rng, normal)),
+                (small, renumbered(rng, small)),
+                (small, minimize(mutant(rng, small))),
+                (split, renumbered(rng, split)),
+                (split, small),
+            ]
+    lines = []
+    for a, b in pairs:
+        lines += _machine_lines(a) + _machine_lines(b) + _comparison_lines(a, b)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == (
+        "158132ebe49eac97e7d790ff6ea654e65ae7c39626675c27339ceb5be1cedc76"
+    )

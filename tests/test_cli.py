@@ -1,6 +1,5 @@
 import csv
 import random
-from dataclasses import replace
 import shutil
 import subprocess
 import sys
@@ -21,7 +20,7 @@ from gkat import (
 )
 from gkat.cli import CSV_COLUMNS, ExperimentConfig, main
 from gkat.syntax import MACRON
-from helpers import rand_bexp, rand_exp, rand_normal_automaton
+from helpers import mutant, rand_bexp, rand_exp, rand_normal_automaton
 
 WHILE_PROG = "(while b do do p); do q"
 
@@ -381,16 +380,6 @@ def _equiv_by_minimization(a1, a2):
     return bisimilar(m1, m1.initial, m2, m2.initial)[1]
 
 
-def _mutant(rng, aut):
-    """The automaton with one transition entry redrawn, normalized."""
-    delta = [list(row) for row in aut.delta]
-    x = rng.randrange(aut.n_states)
-    delta[x][rng.randrange(len(delta[x]))] = rng.choice(
-        [0, 1, (rng.choice(aut.actions), rng.randrange(aut.n_states))]
-    )
-    return normalize(replace(aut, delta=tuple(tuple(row) for row in delta)))
-
-
 def test_equiv_agrees_with_minimization_route(capsys):
     """`equiv` on programs that agree except under one guard, and the
     difference search on automata that differ in one entry, give the
@@ -412,7 +401,7 @@ def test_equiv_agrees_with_minimization_route(capsys):
             assert (rc, out) == (1, "inequivalent; witness: %s\n" % witness)
 
         a1 = rand_normal_automaton(rng, tests, actions, 6)
-        a2 = _mutant(rng, a1)
+        a2 = mutant(rng, a1)
         assert moore_difference_gs(embed_moore(a1), embed_moore(a2)) == (
             _equiv_by_minimization(a1, a2)
         )
