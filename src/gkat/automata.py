@@ -10,6 +10,19 @@ Includes acceptance runs, reachability with shortest witnesses,
 normalization, bisimilarity and similarity checks, minimization for both
 machine kinds, isomorphism checks, the embedding of guarded automata
 into Moore machines, uniform continuations, and DOT emitters.
+
+Both kinds are compared through one view (`_split`): each state has a
+label and ordered successors. A guarded state's label is its row with
+each step (p, y) replaced by p, its successors the step targets in atom
+order; a Moore state's label is its output row, its successors its delta
+row. Three routines work on that view: `_bfs` (forward reachability) for
+`reachable`, `moore_reachable` and the minimizations; `_refine`
+(partition refinement from the label partition) for `minimize`,
+`minimize_moore` and the observability check of `isomorphic`; and `_pairs`
+(a pair search that stops at the first pair whose labels differ) for
+`bisimilar`, `moore_difference`, `isomorphic` and `moore_isomorphic`.
+`similar` keeps its own fixpoint: simulation is one-sided (an accept must
+be matched, a reject need not be), so it is not equality of labels.
 """
 from __future__ import annotations
 
@@ -115,10 +128,16 @@ class MooreAutomaton:
 # ===== Acceptance =====
 
 
+def _check_state(aut, x):
+    if not 0 <= x < aut.n_states:
+        raise ValueError("state %r out of range" % (x,))
+
+
 def accepts_gkat(aut: GkatAutomaton, state: int, w: GuardedString) -> int:
     """Run w from the given state; 1 iff the word is accepted."""
     if w.atoms[0].tests != aut.tests.tests:
         raise ValueError("word atoms use different tests")
+    _check_state(aut, state)
     x = state
     for i, p in enumerate(w.actions):
         entry = aut.delta[x][w.atoms[i].bits]
@@ -132,6 +151,7 @@ def run_gkat_prefix(
     aut: GkatAutomaton, state: int, prefix: GuardedPrefix
 ) -> Optional[int]:
     """Follow a dangling word; None when some step is missing or mislabeled."""
+    _check_state(aut, state)
     x = state
     for atom, p in prefix.pairs:
         entry = aut.delta[x][atom.bits]
@@ -145,10 +165,97 @@ def accepts_moore(aut: MooreAutomaton, state: int, w: GuardedString) -> int:
     """Follow w's letters, then read the output bit at its last atom."""
     if w.atoms[0].tests != aut.tests.tests:
         raise ValueError("word atoms use different tests")
+    _check_state(aut, state)
     x = state
     for i, p in enumerate(w.actions):
         x = aut.delta[x][w.atoms[i].bits * len(aut.actions) + aut.actions.index(p)]
     return aut.outputs[x][w.last_atom.bits]
+
+
+# ===== Labels and successors =====
+
+
+def _split(aut):
+    """The function from a state to its (label, successors)."""
+    delta = aut.delta
+    if isinstance(aut, MooreAutomaton):
+        outputs = aut.outputs
+        return lambda x: (outputs[x], delta[x])
+
+    def split(x):
+        label = []
+        succ = []
+        for e in delta[x]:
+            if isinstance(e, tuple):
+                label.append(e[0])
+                succ.append(e[1])
+            else:
+                label.append(e)
+        return tuple(label), succ
+
+    return split
+
+
+def _bfs(split, start):
+    """Forward reachability from start: maps each reachable state, in
+    breadth-first discovery order, to (parent, successor index), or to
+    None for start itself."""
+    pred = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for i, y in enumerate(split(x)[1]):
+            if y not in pred:
+                pred[y] = (x, i)
+                queue.append(y)
+    return pred
+
+
+def _refine(split, states):
+    """Bisimilarity classes of `states`, a list closed under successors.
+
+    Starts from the label partition and splits blocks by the blocks of
+    their successors until nothing changes. Maps each state to its block;
+    blocks are numbered by first occurrence in `states`.
+    """
+    rows = [split(x) for x in states]
+    keys = {}
+    block = {x: keys.setdefault(label, len(keys)) for x, (label, _) in zip(states, rows)}
+    while True:
+        n_blocks = len(keys)
+        keys = {}
+        block = {
+            x: keys.setdefault((block[x], tuple(map(block.__getitem__, succ))), len(keys))
+            for x, (_, succ) in zip(states, rows)
+        }
+        if len(keys) == n_blocks:
+            return block
+
+
+def _pairs(split_a, split_b, start, limit=None):
+    """Synchronized breadth-first search over state pairs from start.
+
+    Returns (pred, pair): pred maps each visited pair, in discovery order,
+    to (previous pair, successor index), or to None for start; pair is
+    the first dequeued pair whose labels differ, or None when there is
+    none. With a limit, the search also stops once more than `limit`
+    pairs have been visited.
+    """
+    pred = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        label_a, succ_a = split_a(pair[0])
+        label_b, succ_b = split_b(pair[1])
+        if label_a != label_b:
+            return pred, pair
+        for i, nxt in enumerate(zip(succ_a, succ_b)):
+            if nxt not in pred:
+                pred[nxt] = (pair, i)
+                queue.append(nxt)
+        if limit is not None and len(pred) > limit:
+            break
+    return pred, None
 
 
 # ===== Reachability and normalization =====
@@ -161,32 +268,18 @@ def reachable(aut: GkatAutomaton):
     discovery order) and, per new state, a shortest dangling word reaching
     it.
     """
+    pred = _bfs(_split(aut), aut.initial)
+    index = {x: i for i, x in enumerate(pred)}
     ats = aut.atom_list()
-    order = [aut.initial]
-    index = {aut.initial: 0}
     witness = {aut.initial: EMPTY_PREFIX}
-    queue = deque([aut.initial])
-    while queue:
-        x = queue.popleft()
-        for bits, entry in enumerate(aut.delta[x]):
-            if isinstance(entry, tuple):
-                p, y = entry
-                if y not in index:
-                    index[y] = len(order)
-                    order.append(y)
-                    witness[y] = witness[x].extend(ats[bits], p)
-                    queue.append(y)
-    delta = []
-    for x in order:
-        row = []
-        for entry in aut.delta[x]:
-            if isinstance(entry, tuple):
-                row.append((entry[0], index[entry[1]]))
-            else:
-                row.append(entry)
-        delta.append(tuple(row))
-    out = GkatAutomaton(aut.tests, aut.actions, tuple(delta), 0)
-    return out, tuple(witness[x] for x in order)
+    for y, (x, i) in list(pred.items())[1:]:
+        bits, p = [(b, e[0]) for b, e in enumerate(aut.delta[x]) if isinstance(e, tuple)][i]
+        witness[y] = witness[x].extend(ats[bits], p)
+    delta = tuple(
+        tuple((e[0], index[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
+        for x in pred
+    )
+    return GkatAutomaton(aut.tests, aut.actions, delta, 0), tuple(witness.values())
 
 
 def _live_states(aut: GkatAutomaton):
@@ -208,26 +301,17 @@ def _live_states(aut: GkatAutomaton):
 def is_normal(aut: GkatAutomaton) -> int:
     """1 iff every step leads to a state with nonempty language."""
     live = _live_states(aut)
-    for row in aut.delta:
-        for entry in row:
-            if isinstance(entry, tuple) and entry[1] not in live:
-                return 0
-    return 1
+    return int(all(e[1] in live for row in aut.delta for e in row if isinstance(e, tuple)))
 
 
 def normalize(aut: GkatAutomaton) -> GkatAutomaton:
     """Rewrite steps into dead states as rejections; preserves languages."""
     live = _live_states(aut)
-    delta = []
-    for row in aut.delta:
-        new_row = []
-        for entry in row:
-            if isinstance(entry, tuple) and entry[1] not in live:
-                new_row.append(0)
-            else:
-                new_row.append(entry)
-        delta.append(tuple(new_row))
-    return GkatAutomaton(aut.tests, aut.actions, tuple(delta), aut.initial)
+    delta = tuple(
+        tuple(0 if isinstance(e, tuple) and e[1] not in live else e for e in row)
+        for row in aut.delta
+    )
+    return GkatAutomaton(aut.tests, aut.actions, delta, aut.initial)
 
 
 # ===== Comparison =====
@@ -248,26 +332,9 @@ def bisimilar(
     witness may be None even though the states are not bisimilar.
     """
     _check_same_alphabet(a, b)
-    seen = {(x, y)}
-    queue = deque([(x, y)])
-    matched = True
-    while queue and matched:
-        u, v = queue.popleft()
-        for bits in range(2 ** len(a.tests)):
-            e1 = a.delta[u][bits]
-            e2 = b.delta[v][bits]
-            if isinstance(e1, tuple) and isinstance(e2, tuple):
-                if e1[0] != e2[0]:
-                    matched = False
-                    break
-                pair = (e1[1], e2[1])
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-            elif e1 != e2:
-                matched = False
-                break
-    if matched:
+    _check_state(a, x)
+    _check_state(b, y)
+    if _pairs(_split(a), _split(b), (x, y))[1] is None:
         return 1, None
     m1 = embed_moore(replace(a, initial=x))
     m2 = embed_moore(replace(b, initial=y))
@@ -278,7 +345,8 @@ def similar(a: GkatAutomaton, x: int, b: GkatAutomaton, y: int) -> int:
     """Decide the one-sided simulation: accepts of x must be matched by y,
     steps of x must be matched by steps of y on the same action."""
     _check_same_alphabet(a, b)
-    n_atoms = 2 ** len(a.tests)
+    _check_state(a, x)
+    _check_state(b, y)
     rel = [[True] * b.n_states for _ in range(a.n_states)]
     changed = True
     while changed:
@@ -287,48 +355,30 @@ def similar(a: GkatAutomaton, x: int, b: GkatAutomaton, y: int) -> int:
             for v in range(b.n_states):
                 if not rel[u][v]:
                     continue
-                ok = True
-                for bits in range(n_atoms):
-                    e1 = a.delta[u][bits]
-                    e2 = b.delta[v][bits]
-                    if e1 == 1:
-                        if e2 != 1:
-                            ok = False
-                            break
-                    elif isinstance(e1, tuple):
-                        if (
-                            not isinstance(e2, tuple)
-                            or e1[0] != e2[0]
-                            or not rel[e1[1]][e2[1]]
-                        ):
-                            ok = False
-                            break
-                if not ok:
-                    rel[u][v] = False
-                    changed = True
+                for e1, e2 in zip(a.delta[u], b.delta[v]):
+                    if e1 == 1 and e2 != 1 or isinstance(e1, tuple) and (
+                        not isinstance(e2, tuple) or e1[0] != e2[0] or not rel[e1[1]][e2[1]]
+                    ):
+                        rel[u][v] = False
+                        changed = True
+                        break
     return int(rel[x][y])
 
 
 # ===== Minimization =====
 
 
-def _refine_blocks(delta, n_states, initial_block):
-    block = list(initial_block)
-    while True:
-        keys = []
-        for x in range(n_states):
-            row = []
-            for entry in delta[x]:
-                if isinstance(entry, tuple):
-                    row.append((entry[0], block[entry[1]]))
-                else:
-                    row.append(entry)
-            keys.append((block[x], tuple(row)))
-        mapping = {}
-        new = [mapping.setdefault(keys[x], len(mapping)) for x in range(n_states)]
-        if new == block:
-            return block
-        block = new
+def _quotient(aut):
+    """The blocks of the reachable states, and the first state of each
+    block in discovery order."""
+    split = _split(aut)
+    order = list(_bfs(split, aut.initial))
+    block = _refine(split, order)
+    reps = []
+    for x in order:
+        if block[x] == len(reps):
+            reps.append(x)
+    return block, reps
 
 
 def minimize(aut: GkatAutomaton) -> GkatAutomaton:
@@ -339,27 +389,33 @@ def minimize(aut: GkatAutomaton) -> GkatAutomaton:
     """
     if not is_normal(aut):
         raise NotNormalError("minimize needs a normal automaton")
-    base, _ = reachable(aut)
-    block = _refine_blocks(base.delta, base.n_states, [0] * base.n_states)
-    n_blocks = max(block) + 1
-    rep = {}
-    for x in range(base.n_states):
-        rep.setdefault(block[x], x)
-    delta = []
-    for b in range(n_blocks):
-        row = []
-        for entry in base.delta[rep[b]]:
-            if isinstance(entry, tuple):
-                row.append((entry[0], block[entry[1]]))
-            else:
-                row.append(entry)
-        delta.append(tuple(row))
-    return GkatAutomaton(aut.tests, aut.actions, tuple(delta), block[0])
+    block, reps = _quotient(aut)
+    delta = tuple(
+        tuple((e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
+        for x in reps
+    )
+    return GkatAutomaton(aut.tests, aut.actions, delta, block[aut.initial])
 
 
-def _is_observable(aut: GkatAutomaton) -> bool:
-    block = _refine_blocks(aut.delta, aut.n_states, [0] * aut.n_states)
-    return max(block) + 1 == aut.n_states
+def _isomorphism(a, b, name, observable):
+    """Isomorphism of reachable inputs (observable too, if asked): the
+    pair search from the initial states finds no label difference and its
+    visited pairs form a bijection."""
+    _check_same_alphabet(a, b)
+    for aut in (a, b):
+        split = _split(aut)
+        order = list(_bfs(split, aut.initial))
+        if len(order) != aut.n_states:
+            raise ValueError("%s needs reachable inputs" % name)
+        if observable and len(set(_refine(split, order).values())) != aut.n_states:
+            raise ValueError("%s needs observable inputs" % name)
+    n = a.n_states
+    if b.n_states != n:
+        return 0, None
+    pred, differ = _pairs(_split(a), _split(b), (a.initial, b.initial), limit=n)
+    if differ is not None or len(pred) != n:
+        return 0, None
+    return 1, dict(pred.keys())
 
 
 def isomorphic(
@@ -371,41 +427,7 @@ def isomorphic(
     then the only candidate map is the one forced by synchronized
     traversal from the initial states.
     """
-    _check_same_alphabet(a, b)
-    for aut in (a, b):
-        if reachable(aut)[0].n_states != aut.n_states:
-            raise ValueError("isomorphic needs reachable inputs")
-        if not _is_observable(aut):
-            raise ValueError("isomorphic needs observable inputs")
-    if a.n_states != b.n_states:
-        return 0, None
-    mapping = {a.initial: b.initial}
-    used = {b.initial}
-    queue = deque([a.initial])
-    while queue:
-        u = queue.popleft()
-        v = mapping[u]
-        for bits in range(2 ** len(a.tests)):
-            e1 = a.delta[u][bits]
-            e2 = b.delta[v][bits]
-            if isinstance(e1, tuple) and isinstance(e2, tuple):
-                if e1[0] != e2[0]:
-                    return 0, None
-                t1, t2 = e1[1], e2[1]
-                if t1 in mapping:
-                    if mapping[t1] != t2:
-                        return 0, None
-                elif t2 in used:
-                    return 0, None
-                else:
-                    mapping[t1] = t2
-                    used.add(t2)
-                    queue.append(t1)
-            elif e1 != e2:
-                return 0, None
-    if len(mapping) != a.n_states:
-        return 0, None
-    return 1, mapping
+    return _isomorphism(a, b, "isomorphic", observable=True)
 
 
 # ===== Moore machines =====
@@ -418,26 +440,16 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
     state does not step on; the sink outputs 0 everywhere, so both
     machines describe the same guarded language.
     """
-    n = aut.n_states
-    sink = n
+    sink = aut.n_states
     n_atoms = 2 ** len(aut.tests)
-    delta = []
-    outputs = []
-    for x in range(n):
-        row = []
-        out = []
-        for bits in range(n_atoms):
-            entry = aut.delta[x][bits]
-            out.append(1 if entry == 1 else 0)
-            for p in aut.actions:
-                if isinstance(entry, tuple) and entry[0] == p:
-                    row.append(entry[1])
-                else:
-                    row.append(sink)
-        delta.append(tuple(row))
-        outputs.append(tuple(out))
-    delta.append(tuple([sink] * (n_atoms * len(aut.actions))))
-    outputs.append(tuple([0] * n_atoms))
+    delta = [
+        tuple(e[1] if isinstance(e, tuple) and e[0] == p else sink
+              for e in row for p in aut.actions)
+        for row in aut.delta
+    ]
+    outputs = [tuple(1 if e == 1 else 0 for e in row) for row in aut.delta]
+    delta.append((sink,) * (n_atoms * len(aut.actions)))
+    outputs.append((0,) * n_atoms)
     return MooreAutomaton(
         aut.tests, aut.actions, tuple(delta), tuple(outputs), aut.initial
     )
@@ -445,16 +457,8 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
 
 def moore_reachable(aut: MooreAutomaton) -> MooreAutomaton:
     """Restrict to reachable states, renumbered in discovery order."""
-    order = [aut.initial]
-    index = {aut.initial: 0}
-    queue = deque([aut.initial])
-    while queue:
-        x = queue.popleft()
-        for y in aut.delta[x]:
-            if y not in index:
-                index[y] = len(order)
-                order.append(y)
-                queue.append(y)
+    order = list(_bfs(_split(aut), aut.initial))
+    index = {x: i for i, x in enumerate(order)}
     delta = tuple(tuple(index[y] for y in aut.delta[x]) for x in order)
     outputs = tuple(aut.outputs[x] for x in order)
     return MooreAutomaton(aut.tests, aut.actions, delta, outputs, 0)
@@ -462,67 +466,31 @@ def moore_reachable(aut: MooreAutomaton) -> MooreAutomaton:
 
 def minimize_moore(aut: MooreAutomaton) -> MooreAutomaton:
     """Standard Moore machine minimization, deterministic state order."""
-    base = moore_reachable(aut)
-    out_key = {}
-    initial_block = [
-        out_key.setdefault(base.outputs[x], len(out_key))
-        for x in range(base.n_states)
-    ]
-    block = initial_block
-    while True:
-        keys = [
-            (block[x], tuple(block[y] for y in base.delta[x]))
-            for x in range(base.n_states)
-        ]
-        mapping = {}
-        new = [mapping.setdefault(keys[x], len(mapping)) for x in range(base.n_states)]
-        if new == block:
-            break
-        block = new
-    n_blocks = max(block) + 1
-    rep = {}
-    for x in range(base.n_states):
-        rep.setdefault(block[x], x)
-    delta = tuple(
-        tuple(block[y] for y in base.delta[rep[b]]) for b in range(n_blocks)
-    )
-    outputs = tuple(base.outputs[rep[b]] for b in range(n_blocks))
-    return MooreAutomaton(aut.tests, aut.actions, delta, outputs, block[0])
+    block, reps = _quotient(aut)
+    delta = tuple(tuple(block[y] for y in aut.delta[x]) for x in reps)
+    outputs = tuple(aut.outputs[x] for x in reps)
+    return MooreAutomaton(aut.tests, aut.actions, delta, outputs, block[aut.initial])
 
 
 def moore_isomorphic(
     a: MooreAutomaton, b: MooreAutomaton
 ) -> Tuple[int, Optional[Dict[int, int]]]:
     """Isomorphism of reachable Moore machines by synchronized traversal."""
+    return _isomorphism(a, b, "moore_isomorphic", observable=False)
+
+
+def _difference(a, b):
+    """A shortest letter word to a pair of states whose output rows
+    differ, and that pair; None if there is none."""
     _check_same_alphabet(a, b)
-    for aut in (a, b):
-        if moore_reachable(aut).n_states != aut.n_states:
-            raise ValueError("moore_isomorphic needs reachable inputs")
-    if a.n_states != b.n_states:
-        return 0, None
-    mapping = {a.initial: b.initial}
-    used = {b.initial}
-    queue = deque([a.initial])
-    while queue:
-        u = queue.popleft()
-        v = mapping[u]
-        if a.outputs[u] != b.outputs[v]:
-            return 0, None
-        for letter in range(len(a.delta[u])):
-            t1 = a.delta[u][letter]
-            t2 = b.delta[v][letter]
-            if t1 in mapping:
-                if mapping[t1] != t2:
-                    return 0, None
-            elif t2 in used:
-                return 0, None
-            else:
-                mapping[t1] = t2
-                used.add(t2)
-                queue.append(t1)
-    if len(mapping) != a.n_states:
-        return 0, None
-    return 1, mapping
+    pred, pair = _pairs(_split(a), _split(b), (a.initial, b.initial))
+    if pair is None:
+        return None
+    letters, word, last = a.letters(), [], pair
+    while pred[pair] is not None:
+        pair, i = pred[pair]
+        word.append(letters[i])
+    return tuple(reversed(word)), last
 
 
 def moore_difference(
@@ -530,27 +498,8 @@ def moore_difference(
 ) -> Optional[Tuple[Tuple[Atom, str], ...]]:
     """Shortest letter word after which the two machines' output rows
     differ, or None if they agree everywhere (same guarded language)."""
-    _check_same_alphabet(a, b)
-    letters = a.letters()
-    start = (a.initial, b.initial)
-    pred = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        u, v = pair
-        if a.outputs[u] != b.outputs[v]:
-            word = []
-            while pred[pair] is not None:
-                pair, i = pred[pair]
-                word.append(letters[i])
-            word.reverse()
-            return tuple(word)
-        for i in range(len(letters)):
-            nxt = (a.delta[u][i], b.delta[v][i])
-            if nxt not in pred:
-                pred[nxt] = (pair, i)
-                queue.append(nxt)
-    return None
+    found = _difference(a, b)
+    return None if found is None else found[0]
 
 
 def moore_difference_gs(
@@ -558,22 +507,15 @@ def moore_difference_gs(
 ) -> Optional[GuardedString]:
     """Like moore_difference, extended with the first atom whose output
     bit disagrees, making a complete guarded string."""
-    word = moore_difference(a, b)
-    if word is None:
+    found = _difference(a, b)
+    if found is None:
         return None
-    u, v = a.initial, b.initial
-    for atom, p in word:
-        i = a.letter_index(atom, p)
-        u = a.delta[u][i]
-        v = b.delta[v][i]
-    ats = atoms(a.tests)
-    for bits in range(len(ats)):
-        if a.outputs[u][bits] != b.outputs[v][bits]:
-            return GuardedString(
-                tuple(atom for atom, _ in word) + (ats[bits],),
-                tuple(p for _, p in word),
-            )
-    raise AssertionError("difference vanished during replay")
+    word, (u, v) = found
+    bits = next(i for i, bit in enumerate(a.outputs[u]) if bit != b.outputs[v][i])
+    return GuardedString(
+        tuple(atom for atom, _ in word) + (atoms(a.tests)[bits],),
+        tuple(p for _, p in word),
+    )
 
 
 # ===== Uniform continuation =====
@@ -591,19 +533,13 @@ def uniform_continuation(
         _check_entry(entry, aut.actions, aut.n_states)
     chosen = set(states)
     for x in chosen:
-        if not 0 <= x < aut.n_states:
-            raise ValueError("state %r out of range" % (x,))
-    delta = []
-    for x in range(aut.n_states):
-        if x in chosen:
-            row = tuple(
-                continuation[bits] if aut.delta[x][bits] == 1 else aut.delta[x][bits]
-                for bits in range(n_atoms)
-            )
-        else:
-            row = aut.delta[x]
-        delta.append(row)
-    return GkatAutomaton(aut.tests, aut.actions, tuple(delta), aut.initial)
+        _check_state(aut, x)
+    delta = tuple(
+        tuple(continuation[bits] if e == 1 else e for bits, e in enumerate(row))
+        if x in chosen else row
+        for x, row in enumerate(aut.delta)
+    )
+    return GkatAutomaton(aut.tests, aut.actions, delta, aut.initial)
 
 
 # ===== DOT output =====

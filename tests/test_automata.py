@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -133,6 +135,29 @@ def test_run_gkat_prefix():
     assert run_gkat_prefix(f, 0, GuardedPrefix(((POS, "q"),))) is None
     two = GuardedPrefix(((NEG, "q"), (POS, "p")))
     assert run_gkat_prefix(f, 0, two) is None  # accepting state has no steps
+
+
+def test_state_arguments_out_of_range():
+    """State arguments are checked, not wrapped around or left to index."""
+    f = fixture()
+    m = embed_moore(f)
+    w = _gs((POS,), ())
+    calls = [
+        lambda: bisimilar(f, -1, f, 2),
+        lambda: bisimilar(f, 5, f, 0),
+        lambda: bisimilar(f, 0, f, 3),
+        lambda: similar(f, -1, f, 2),
+        lambda: similar(f, 0, f, 3),
+        lambda: accepts_gkat(f, -1, w),
+        lambda: accepts_gkat(f, 3, w),
+        lambda: accepts_moore(m, -1, w),
+        lambda: accepts_moore(m, 4, w),
+        lambda: run_gkat_prefix(f, -1, EMPTY_PREFIX),
+        lambda: run_gkat_prefix(f, 3, EMPTY_PREFIX),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="out of range"):
+            call()
 
 
 # ===== reachability, normal form =====
@@ -283,6 +308,82 @@ def test_isomorphic_preconditions():
     # the fixture is reachable but has two bisimilar states
     with pytest.raises(ValueError):
         isomorphic(fixture(), fixture())
+
+
+def _brute_isomorphism(a, b):
+    """The first state bijection, in permutation order, that maps initial
+    to initial and carries every row of a onto the matching row of b."""
+    def image(perm, x):
+        if isinstance(a, MooreAutomaton):
+            return a.outputs[x], tuple(perm[y] for y in a.delta[x])
+        return tuple((e[0], perm[e[1]]) if isinstance(e, tuple) else e for e in a.delta[x])
+
+    def row(y):
+        return (b.outputs[y], b.delta[y]) if isinstance(b, MooreAutomaton) else b.delta[y]
+
+    if a.n_states != b.n_states:
+        return 0, None
+    for perm in itertools.permutations(range(b.n_states)):
+        if perm[a.initial] == b.initial and all(
+            image(perm, x) == row(perm[x]) for x in range(a.n_states)
+        ):
+            return 1, dict(enumerate(perm))
+    return 0, None
+
+
+def _rand_moore(rng, tests, n):
+    """A random Moore machine on n states, restricted to its reachable part."""
+    width = 2 ** len(tests) * len(ACTS)
+    delta = tuple(tuple(rng.randrange(n) for _ in range(width)) for _ in range(n))
+    outputs = tuple(
+        tuple(rng.randrange(2) for _ in range(2 ** len(tests))) for _ in range(n)
+    )
+    return moore_reachable(MooreAutomaton(tests, ACTS, delta, outputs, 0))
+
+
+def _renumbered_moore(rng, m):
+    perm = list(range(m.n_states))
+    rng.shuffle(perm)
+    delta = [None] * m.n_states
+    outputs = [None] * m.n_states
+    for old, new in enumerate(perm):
+        delta[new] = tuple(perm[y] for y in m.delta[old])
+        outputs[new] = m.outputs[old]
+    return MooreAutomaton(m.tests, m.actions, tuple(delta), tuple(outputs), perm[m.initial])
+
+
+def test_isomorphism_agrees_with_brute_force():
+    """isomorphic and moore_isomorphic match a search over all state
+    permutations, on machines of at most five states."""
+    rng = random.Random(6006)
+    T2 = TestSet(("b", "c"))
+    verdicts = []
+    for trial in range(150):
+        tests = (T1, T2)[trial % 2]
+        a = minimize(rand_normal_automaton(rng, tests, ACTS, 5))
+        for b in (renumbered(rng, a), minimize(mutant(rng, a)),
+                  minimize(rand_normal_automaton(rng, tests, ACTS, 5))):
+            assert isomorphic(a, b) == _brute_isomorphism(a, b)
+            verdicts.append(isomorphic(a, b)[0])
+        m = _rand_moore(rng, T1, rng.randint(1, 5))
+        mutated = replace(m, outputs=(tuple(1 - bit for bit in m.outputs[0]),) + m.outputs[1:])
+        for other in (_renumbered_moore(rng, m), mutated, _rand_moore(rng, T1, m.n_states)):
+            assert moore_isomorphic(m, other) == _brute_isomorphism(m, other)
+            verdicts.append(moore_isomorphic(m, other)[0])
+    assert 0 < sum(verdicts) < len(verdicts)
+
+    # reachable and bisimilar, but a self-loop is not a 2-cycle
+    width = len(ACTS) * 2
+    loop = MooreAutomaton(T1, ACTS, ((1,) * width, (1,) * width), ((1, 0), (1, 0)), 0)
+    cycle = MooreAutomaton(T1, ACTS, ((1,) * width, (0,) * width), ((1, 0), (1, 0)), 0)
+    assert moore_difference(loop, cycle) is None
+    assert moore_isomorphic(loop, cycle) == (0, None) == _brute_isomorphism(loop, cycle)
+
+    big = embed_moore(fixture())  # reachable, not minimal
+    copy = _renumbered_moore(rng, big)
+    verdict, mapping = moore_isomorphic(big, copy)
+    assert verdict == 1
+    assert (verdict, mapping) == _brute_isomorphism(big, copy)
 
 
 # ===== Moore machines =====
