@@ -129,7 +129,7 @@ class MooreAutomaton:
 
 
 def _check_state(aut, x):
-    if not 0 <= x < aut.n_states:
+    if not 0 <= x < len(aut.delta):
         raise ValueError("state %r out of range" % (x,))
 
 
@@ -409,11 +409,8 @@ def _isomorphism(a, b, name, observable):
             raise ValueError("%s needs reachable inputs" % name)
         if observable and len(set(_refine(split, order).values())) != aut.n_states:
             raise ValueError("%s needs observable inputs" % name)
-    n = a.n_states
-    if b.n_states != n:
-        return 0, None
-    pred, differ = _pairs(_split(a), _split(b), (a.initial, b.initial), limit=n)
-    if differ is not None or len(pred) != n:
+    pred, differ = _pairs(_split(a), _split(b), (a.initial, b.initial), limit=a.n_states)
+    if differ is not None or not len(pred) == a.n_states == b.n_states:
         return 0, None
     return 1, dict(pred.keys())
 
