@@ -215,8 +215,9 @@ def _refine(split, states):
     """Bisimilarity classes of `states`, a list closed under successors.
 
     Starts from the label partition and splits blocks by the blocks of
-    their successors until nothing changes. Maps each state to its block;
-    blocks are numbered by first occurrence in `states`.
+    their successors until nothing changes. Returns the block of each
+    state, blocks numbered by first occurrence in `states`, and the first
+    state of each block.
     """
     rows = [split(x) for x in states]
     keys = {}
@@ -229,7 +230,11 @@ def _refine(split, states):
             for x, (_, succ) in zip(states, rows)
         }
         if len(keys) == n_blocks:
-            return block
+            reps = []
+            for x in states:
+                if block[x] == len(reps):
+                    reps.append(x)
+            return block, reps
 
 
 def _pairs(split_a, split_b, start, limit=None):
@@ -368,19 +373,6 @@ def similar(a: GkatAutomaton, x: int, b: GkatAutomaton, y: int) -> int:
 # ===== Minimization =====
 
 
-def _quotient(aut):
-    """The blocks of the reachable states, and the first state of each
-    block in discovery order."""
-    split = _split(aut)
-    order = list(_bfs(split, aut.initial))
-    block = _refine(split, order)
-    reps = []
-    for x in order:
-        if block[x] == len(reps):
-            reps.append(x)
-    return block, reps
-
-
 def minimize(aut: GkatAutomaton) -> GkatAutomaton:
     """Quotient the reachable part by bisimilarity.
 
@@ -389,7 +381,8 @@ def minimize(aut: GkatAutomaton) -> GkatAutomaton:
     """
     if not is_normal(aut):
         raise NotNormalError("minimize needs a normal automaton")
-    block, reps = _quotient(aut)
+    split = _split(aut)
+    block, reps = _refine(split, list(_bfs(split, aut.initial)))
     delta = tuple(
         tuple((e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
         for x in reps
@@ -407,7 +400,7 @@ def _isomorphism(a, b, name, observable):
         order = list(_bfs(split, aut.initial))
         if len(order) != aut.n_states:
             raise ValueError("%s needs reachable inputs" % name)
-        if observable and len(set(_refine(split, order).values())) != aut.n_states:
+        if observable and len(_refine(split, order)[1]) != aut.n_states:
             raise ValueError("%s needs observable inputs" % name)
     pred, differ = _pairs(_split(a), _split(b), (a.initial, b.initial), limit=a.n_states)
     if differ is not None or not len(pred) == a.n_states == b.n_states:
@@ -437,16 +430,26 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
     state does not step on; the sink outputs 0 everywhere, so both
     machines describe the same guarded language.
     """
-    sink = aut.n_states
+    n = aut.n_states
+    sink = n
     n_atoms = 2 ** len(aut.tests)
-    delta = [
-        tuple(e[1] if isinstance(e, tuple) and e[0] == p else sink
-              for e in row for p in aut.actions)
-        for row in aut.delta
-    ]
-    outputs = [tuple(1 if e == 1 else 0 for e in row) for row in aut.delta]
-    delta.append((sink,) * (n_atoms * len(aut.actions)))
-    outputs.append((0,) * n_atoms)
+    delta = []
+    outputs = []
+    for x in range(n):
+        row = []
+        out = []
+        for bits in range(n_atoms):
+            entry = aut.delta[x][bits]
+            out.append(1 if entry == 1 else 0)
+            for p in aut.actions:
+                if isinstance(entry, tuple) and entry[0] == p:
+                    row.append(entry[1])
+                else:
+                    row.append(sink)
+        delta.append(tuple(row))
+        outputs.append(tuple(out))
+    delta.append(tuple([sink] * (n_atoms * len(aut.actions))))
+    outputs.append(tuple([0] * n_atoms))
     return MooreAutomaton(
         aut.tests, aut.actions, tuple(delta), tuple(outputs), aut.initial
     )
@@ -463,7 +466,8 @@ def moore_reachable(aut: MooreAutomaton) -> MooreAutomaton:
 
 def minimize_moore(aut: MooreAutomaton) -> MooreAutomaton:
     """Standard Moore machine minimization, deterministic state order."""
-    block, reps = _quotient(aut)
+    split = _split(aut)
+    block, reps = _refine(split, list(_bfs(split, aut.initial)))
     delta = tuple(tuple(block[y] for y in aut.delta[x]) for x in reps)
     outputs = tuple(aut.outputs[x] for x in reps)
     return MooreAutomaton(aut.tests, aut.actions, delta, outputs, block[aut.initial])
