@@ -66,7 +66,6 @@ from .automata import (
     reachable,
     run_gkat_prefix,
     similar,
-    uniform_continuation,
 )
 from .construct import (
     gkat_automaton,

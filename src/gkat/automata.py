@@ -9,25 +9,31 @@ against them.
 Includes acceptance runs, reachability with shortest witnesses,
 normalization, bisimilarity and similarity checks, minimization for both
 machine kinds, isomorphism checks, the embedding of guarded automata
-into Moore machines, uniform continuations, and DOT emitters.
+into Moore machines, and DOT emitters.
 
 Both kinds are compared through one view (`_split`): each state has a
 label and ordered successors. A guarded state's label is its row with
 each step (p, y) replaced by p, its successors the step targets in atom
 order; a Moore state's label is its output row, its successors its delta
-row. Three routines work on that view: `_bfs` (forward reachability) for
-`reachable`, `moore_reachable` and the minimizations; `_refine`
-(partition refinement from the label partition) for `minimize`,
+row. A second view (`_unfold`) reads either kind as a Moore machine:
+a guarded state's label is its accept bits (a step reads 0), its
+successors one target per (atom, action) letter, and `None` stands for
+the implicit sink where the state does not step; `embed_moore` is built
+from it. Three routines work on these views: `_bfs` (forward
+reachability) for `reachable`, `moore_reachable` and the minimizations;
+`_refine` (partition refinement from the label partition) for `minimize`,
 `minimize_moore` and the observability check of `isomorphic`; and `_pairs`
 (a pair search that stops at the first pair whose labels differ) for
-`bisimilar`, `moore_difference`, `isomorphic` and `moore_isomorphic`.
+`bisimilar`, `isomorphic` and `moore_isomorphic` on `_split`, and for the
+difference searches on `_unfold`, which accept either machine kind on
+either side.
 `similar` keeps its own fixpoint: simulation is one-sided (an accept must
 be matched, a reject need not be), so it is not equality of labels.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import NotNormalError
@@ -196,6 +202,33 @@ def _split(aut):
     return split
 
 
+def _unfold(aut):
+    """The function from a state to its Moore (label, successors). A
+    guarded state steps to None, the sink, on letters it does not step on."""
+    if isinstance(aut, MooreAutomaton):
+        return _split(aut)
+    delta = aut.delta
+    width = len(aut.actions)
+    index = {p: i for i, p in enumerate(aut.actions)}
+    template = [None] * (len(delta[0]) * width)
+    sink = (0,) * len(delta[0]), tuple(template)
+
+    def unfold(x):
+        if x is None:
+            return sink
+        label = []
+        succ = template.copy()
+        for bits, e in enumerate(delta[x]):
+            if isinstance(e, tuple):
+                label.append(0)
+                succ[bits * width + index[e[0]]] = e[1]
+            else:
+                label.append(e)
+        return tuple(label), succ
+
+    return unfold
+
+
 def _bfs(split, start):
     """Forward reachability from start: maps each reachable state, in
     breadth-first discovery order, to (parent, successor index), or to
@@ -341,9 +374,8 @@ def bisimilar(
     _check_state(b, y)
     if _pairs(_split(a), _split(b), (x, y))[1] is None:
         return 1, None
-    m1 = embed_moore(replace(a, initial=x))
-    m2 = embed_moore(replace(b, initial=y))
-    return 0, moore_difference_gs(m1, m2)
+    found = _difference(a, b, (x, y))
+    return 0, None if found is None else found[1]
 
 
 def similar(a: GkatAutomaton, x: int, b: GkatAutomaton, y: int) -> int:
@@ -430,26 +462,14 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
     state does not step on; the sink outputs 0 everywhere, so both
     machines describe the same guarded language.
     """
-    n = aut.n_states
-    sink = n
-    n_atoms = 2 ** len(aut.tests)
+    unfold = _unfold(aut)
+    sink = aut.n_states
     delta = []
     outputs = []
-    for x in range(n):
-        row = []
-        out = []
-        for bits in range(n_atoms):
-            entry = aut.delta[x][bits]
-            out.append(1 if entry == 1 else 0)
-            for p in aut.actions:
-                if isinstance(entry, tuple) and entry[0] == p:
-                    row.append(entry[1])
-                else:
-                    row.append(sink)
-        delta.append(tuple(row))
-        outputs.append(tuple(out))
-    delta.append(tuple([sink] * (n_atoms * len(aut.actions))))
-    outputs.append(tuple([0] * n_atoms))
+    for x in list(range(sink)) + [None]:
+        label, succ = unfold(x)
+        delta.append(tuple(sink if y is None else y for y in succ))
+        outputs.append(label)
     return MooreAutomaton(
         aut.tests, aut.actions, tuple(delta), tuple(outputs), aut.initial
     )
@@ -480,67 +500,45 @@ def moore_isomorphic(
     return _isomorphism(a, b, "moore_isomorphic", observable=False)
 
 
-def _difference(a, b):
-    """A shortest letter word to a pair of states whose output rows
-    differ, and that pair; None if there is none."""
+def _difference(a, b, start):
+    """A shortest letter word from the pair `start` to a pair of states
+    whose Moore labels differ, and that word completed to a guarded string
+    by the first atom where the labels differ; None if there is none."""
     _check_same_alphabet(a, b)
-    pred, pair = _pairs(_split(a), _split(b), (a.initial, b.initial))
+    unfold_a, unfold_b = _unfold(a), _unfold(b)
+    pred, pair = _pairs(unfold_a, unfold_b, start)
     if pair is None:
         return None
-    letters, word, last = a.letters(), [], pair
+    label_a, label_b = unfold_a(pair[0])[0], unfold_b(pair[1])[0]
+    ats, word = atoms(a.tests), []
     while pred[pair] is not None:
         pair, i = pred[pair]
-        word.append(letters[i])
-    return tuple(reversed(word)), last
+        bits, j = divmod(i, len(a.actions))
+        word.append((ats[bits], a.actions[j]))
+    word.reverse()
+    bits = next(i for i, bit in enumerate(label_a) if bit != label_b[i])
+    return tuple(word), GuardedString(
+        tuple(atom for atom, _ in word) + (ats[bits],), tuple(p for _, p in word)
+    )
 
 
 def moore_difference(
-    a: MooreAutomaton, b: MooreAutomaton
+    a: Union[GkatAutomaton, MooreAutomaton], b: Union[GkatAutomaton, MooreAutomaton]
 ) -> Optional[Tuple[Tuple[Atom, str], ...]]:
     """Shortest letter word after which the two machines' output rows
-    differ, or None if they agree everywhere (same guarded language)."""
-    found = _difference(a, b)
+    differ, or None if they agree everywhere (same guarded language).
+    Either machine may be guarded, read through its Moore unfolding."""
+    found = _difference(a, b, (a.initial, b.initial))
     return None if found is None else found[0]
 
 
 def moore_difference_gs(
-    a: MooreAutomaton, b: MooreAutomaton
+    a: Union[GkatAutomaton, MooreAutomaton], b: Union[GkatAutomaton, MooreAutomaton]
 ) -> Optional[GuardedString]:
     """Like moore_difference, extended with the first atom whose output
     bit disagrees, making a complete guarded string."""
-    found = _difference(a, b)
-    if found is None:
-        return None
-    word, (u, v) = found
-    bits = next(i for i, bit in enumerate(a.outputs[u]) if bit != b.outputs[v][i])
-    return GuardedString(
-        tuple(atom for atom, _ in word) + (atoms(a.tests)[bits],),
-        tuple(p for _, p in word),
-    )
-
-
-# ===== Uniform continuation =====
-
-
-def uniform_continuation(
-    aut: GkatAutomaton, states, continuation: Tuple[Trans, ...]
-) -> GkatAutomaton:
-    """Replace each accept of the chosen states by the per-atom entry of
-    `continuation`, leaving everything else in place."""
-    n_atoms = 2 ** len(aut.tests)
-    if len(continuation) != n_atoms:
-        raise ValueError("continuation must give one entry per atom")
-    for entry in continuation:
-        _check_entry(entry, aut.actions, aut.n_states)
-    chosen = set(states)
-    for x in chosen:
-        _check_state(aut, x)
-    delta = tuple(
-        tuple(continuation[bits] if e == 1 else e for bits, e in enumerate(row))
-        if x in chosen else row
-        for x, row in enumerate(aut.delta)
-    )
-    return GkatAutomaton(aut.tests, aut.actions, delta, aut.initial)
+    found = _difference(a, b, (a.initial, b.initial))
+    return None if found is None else found[1]
 
 
 # ===== DOT output =====

@@ -3,8 +3,10 @@
 Subcommands: learn (run a learner against an expression and write DOT,
 per-round table CSVs, trace, stats), compare (sweep the test-set size and
 tabulate query counts for both learners), equiv (decide equivalence of two
-expressions by a product search of their Moore unfoldings), and words (dump
-the bounded semantics).
+expressions by a product search over their guarded automata, unfolded into
+Moore machines one state at a time), and words (dump the bounded semantics).
+Exit codes: 0 success or equivalent, 1 inequivalent, 2 bad input or an
+unwritable output directory, 3 capacity, 4 internal inconsistency.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .errors import (
 from .syntax import ATOM_LIMIT, TestSet, atoms, embed_kat, parse_exp
 from .language import denote
 from .automata import (
-    embed_moore,
     gkat_dot,
     moore_difference_gs,
     moore_dot,
@@ -211,7 +212,7 @@ def cmd_equiv(expr1: str, expr2: str, tests: TestSet, actions: Tuple[str, ...]) 
     a1 = normalize(gkat_automaton(e1, tests, actions))
     a2 = normalize(gkat_automaton(e2, tests, actions))
     # the shortlex-least separating string depends only on the languages
-    witness = moore_difference_gs(embed_moore(a1), embed_moore(a2))
+    witness = moore_difference_gs(a1, a2)
     if witness is None:
         print("equivalent")
         return 0
@@ -260,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--zero-fill", action="store_true")
     compare.add_argument("--sweep", type=int, default=1)
     compare.add_argument("--out-dir", default="gkat_out")
-    compare.add_argument("--trace", action="store_true")
 
     equiv = sub.add_parser("equiv", help="decide equivalence of two expressions")
     common(equiv, expr2=True)
@@ -297,7 +297,6 @@ def main(argv=None) -> int:
                 zero_fill=args.zero_fill,
                 sweep=args.sweep,
                 out_dir=args.out_dir,
-                trace=args.trace,
             )
             return cmd_compare(config)
         if args.command == "equiv":
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
     except (InternalInconsistencyError, NotClosedError, NotNormalError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -122,6 +122,8 @@ def denote(
     max_words: int = WORD_LIMIT,
 ) -> BoundedLanguage:
     """Compute the semantics of e cut off at k actions."""
+    if k < 0:
+        raise ValueError("the action bound must be non-negative, got %d" % k)
     _check_actions(e, actions)
     ats = atoms(tests)
     return BoundedLanguage(frozenset(_denote(e, k, ats, max_words)), k)

@@ -26,7 +26,6 @@ from .automata import (
     MooreAutomaton,
     accepts_gkat,
     accepts_moore,
-    embed_moore,
     moore_difference,
     moore_difference_gs,
     run_gkat_prefix,
@@ -68,20 +67,20 @@ class Teacher:
 class GkatTeacher(Teacher):
     """Teacher for the language of a guarded automaton.
 
-    Equivalence is decided on the Moore unfoldings of hypothesis and
-    target; counterexamples are shortest in the canonical order, returned
-    as complete guarded strings.
+    Equivalence is a product search over the Moore unfoldings of
+    hypothesis and target, each state unfolded only when the search
+    reaches it; counterexamples are shortest in the canonical order,
+    returned as complete guarded strings.
     """
 
     def __init__(self, target: GkatAutomaton):
         self.target = target
-        self._target_moore = embed_moore(target)
 
     def membership(self, w: GuardedString) -> int:
         return accepts_gkat(self.target, self.target.initial, w)
 
     def equivalence(self, hypothesis: GkatAutomaton) -> Optional[GuardedString]:
-        return moore_difference_gs(embed_moore(hypothesis), self._target_moore)
+        return moore_difference_gs(hypothesis, self.target)
 
 
 class MooreTeacher(Teacher):

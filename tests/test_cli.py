@@ -413,6 +413,61 @@ def test_usage_error_is_systemexit():
     assert info.value.code == 2
 
 
+def test_compare_has_no_trace_option():
+    with pytest.raises(SystemExit) as info:
+        main(["compare", "--expr", "do p", "--tests", "b", "--actions", "p", "--trace"])
+    assert info.value.code == 2
+
+
+def _exit_code(argv):
+    """main's exit code, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_exit_code_contract(tmp_path, capsys):
+    """Bad arguments end with exit 0, 1, 2 or 3 and a message, never a
+    traceback; an unwritable output directory and a negative action bound
+    are bad input."""
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    unwritable = str(tmp_path / "f" / "sub")
+    base = ["--expr", "do p", "--tests", "b", "--actions", "p"]
+    assert _exit_code(["learn"] + base + ["--out-dir", unwritable]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _exit_code(["words"] + base + ["--max-actions", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+    rng = random.Random(707)
+
+    def pick(good, bad):
+        return rng.choice(good if rng.random() < 0.7 else bad)
+
+    exprs = (["do p", "while b do do p", "if b then do p else do q"],
+             ["do r", "assert c", "while b do", "(do p", "", _nested_loops(400, "q")])
+    for _ in range(100):
+        command = rng.choice(["learn", "compare", "equiv", "words"])
+        argv = [command, "--expr", pick(*exprs),
+                "--tests", pick(["b", "b,c"], ["", ",", "b,b", "b c", "1b",
+                                               ",".join("t%d" % i for i in range(21))]),
+                "--actions", pick(["p,q", "q,p"], ["", "p", "p,p", "q r"])]
+        if command == "equiv":
+            argv += ["--expr2", pick(*exprs)]
+        if command == "words":
+            argv += ["--max-actions", pick(["0", "2"], ["-1", "x"])]
+        if command in ("learn", "compare"):
+            argv += ["--out-dir", pick([str(tmp_path / "out")], [unwritable])]
+        if command == "compare":
+            argv += ["--sweep", pick(["1", "2"], ["-2", "0", "3"])]
+        code = _exit_code(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        assert code in (0, 1) or err, argv
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig("do p", ("b",), ("p",), sweep=0)
