@@ -203,8 +203,8 @@ def _split(aut):
 
 
 def _unfold(aut):
-    """The function from a state to its Moore (label, successors). A
-    guarded state steps to None, the sink, on letters it does not step on."""
+    """The function from a state to its Moore (label, successors); in a
+    guarded automaton, letters without a step go to None, the sink."""
     if isinstance(aut, MooreAutomaton):
         return _split(aut)
     delta = aut.delta
@@ -466,7 +466,7 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
     sink = aut.n_states
     delta = []
     outputs = []
-    for x in list(range(sink)) + [None]:
+    for x in [*range(sink), None]:
         label, succ = unfold(x)
         delta.append(tuple(sink if y is None else y for y in succ))
         outputs.append(label)
