@@ -18,9 +18,7 @@ from .syntax import (
     And,
     Atom,
     BExp,
-    EMPTY_PREFIX,
     Exp,
-    GuardedPrefix,
     GuardedString,
     IfThenElse,
     Not,
@@ -38,11 +36,13 @@ from .syntax import (
     exp_to_str,
     fuse,
     is_bexp,
+    join,
     kat_to_str,
     parse_bexp,
     parse_exp,
     suffixes_gs,
     suffixes_word,
+    word_to_str,
 )
 from .language import BoundedLanguage, denote, is_deterministic, member
 from .automata import (

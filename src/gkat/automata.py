@@ -39,11 +39,10 @@ from typing import Dict, List, Optional, Tuple, Union
 from .errors import NotNormalError
 from .syntax import (
     Atom,
-    EMPTY_PREFIX,
-    GuardedPrefix,
     GuardedString,
     TestSet,
     atoms,
+    join,
 )
 
 Trans = Union[int, Tuple[str, int]]
@@ -153,13 +152,12 @@ def accepts_gkat(aut: GkatAutomaton, state: int, w: GuardedString) -> int:
     return 1 if aut.delta[x][w.last_atom.bits] == 1 else 0
 
 
-def run_gkat_prefix(
-    aut: GkatAutomaton, state: int, prefix: GuardedPrefix
-) -> Optional[int]:
-    """Follow a dangling word; None when some step is missing or mislabeled."""
+def run_gkat_prefix(aut: GkatAutomaton, state: int, word: tuple) -> Optional[int]:
+    """Follow a letter word of (atom, action) pairs; None when some step is
+    missing or mislabeled."""
     _check_state(aut, state)
     x = state
-    for atom, p in prefix.pairs:
+    for atom, p in word:
         entry = aut.delta[x][atom.bits]
         if not isinstance(entry, tuple) or entry[0] != p:
             return None
@@ -303,16 +301,16 @@ def reachable(aut: GkatAutomaton):
     """Restrict to states reachable from the initial one.
 
     Returns the restricted automaton (states renumbered in breadth-first
-    discovery order) and, per new state, a shortest dangling word reaching
-    it.
+    discovery order) and, per new state, a shortest letter word of
+    (atom, action) pairs reaching it.
     """
     pred = _bfs(_split(aut), aut.initial)
     index = {x: i for i, x in enumerate(pred)}
     ats = aut.atom_list()
-    witness = {aut.initial: EMPTY_PREFIX}
+    witness = {aut.initial: ()}
     for y, (x, i) in list(pred.items())[1:]:
         bits, p = [(b, e[0]) for b, e in enumerate(aut.delta[x]) if isinstance(e, tuple)][i]
-        witness[y] = witness[x].extend(ats[bits], p)
+        witness[y] = witness[x] + ((ats[bits], p),)
     delta = tuple(
         tuple((e[0], index[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
         for x in pred
@@ -321,18 +319,20 @@ def reachable(aut: GkatAutomaton):
 
 
 def _live_states(aut: GkatAutomaton):
-    live = {x for x in range(aut.n_states) if 1 in aut.delta[x]}
-    changed = True
-    while changed:
-        changed = False
-        for x in range(aut.n_states):
-            if x in live:
-                continue
-            for entry in aut.delta[x]:
-                if isinstance(entry, tuple) and entry[1] in live:
-                    live.add(x)
-                    changed = True
-                    break
+    """States with a nonempty language: a backward search over step
+    predecessors from the states that accept on some atom."""
+    preds = [[] for _ in range(aut.n_states)]
+    for x, row in enumerate(aut.delta):
+        for e in row:
+            if isinstance(e, tuple):
+                preds[e[1]].append(x)
+    stack = [x for x in range(aut.n_states) if 1 in aut.delta[x]]
+    live = set(stack)
+    while stack:
+        for x in preds[stack.pop()]:
+            if x not in live:
+                live.add(x)
+                stack.append(x)
     return live
 
 
@@ -515,11 +515,9 @@ def _difference(a, b, start):
         pair, i = pred[pair]
         bits, j = divmod(i, len(a.actions))
         word.append((ats[bits], a.actions[j]))
-    word.reverse()
+    word = tuple(reversed(word))
     bits = next(i for i, bit in enumerate(label_a) if bit != label_b[i])
-    return tuple(word), GuardedString(
-        tuple(atom for atom, _ in word) + (ats[bits],), tuple(p for _, p in word)
-    )
+    return word, join(word, GuardedString((ats[bits],), ()))
 
 
 def moore_difference(

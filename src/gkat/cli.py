@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Tuple
 
@@ -25,7 +25,7 @@ from .errors import (
     NotNormalError,
     ParseError,
 )
-from .syntax import ATOM_LIMIT, TestSet, atoms, embed_kat, parse_exp
+from .syntax import TestSet, atoms, embed_kat, parse_exp
 from .language import denote
 from .automata import (
     gkat_dot,
@@ -33,7 +33,7 @@ from .automata import (
     moore_dot,
     normalize,
 )
-from .construct import STATE_LIMIT, gkat_automaton, kat_moore_automaton
+from .construct import gkat_automaton, kat_moore_automaton
 from .learning import GkatTeacher, MooreTeacher, format_event, glstar, lstar_moore
 
 CSV_COLUMNS = [
@@ -58,14 +58,10 @@ class ExperimentConfig:
     sweep: int = 1
     out_dir: str = "gkat_out"
     trace: bool = False
-    state_cap: int = STATE_LIMIT
-    atom_cap: int = ATOM_LIMIT
 
     def __post_init__(self):
         if self.sweep < 1:
             raise ValueError("sweep must be at least 1")
-        if self.state_cap < 1 or self.atom_cap < 1:
-            raise ValueError("caps must be positive")
 
 
 @dataclass
@@ -77,17 +73,6 @@ class RunRecord:
     equivalence_queries: int
     hypothesis_states: int
     wall_ms: int
-
-    def as_list(self):
-        return [
-            self.algorithm,
-            self.n_tests,
-            self.membership_queries,
-            self.zero_filled,
-            self.equivalence_queries,
-            self.hypothesis_states,
-            self.wall_ms,
-        ]
 
 
 def _write_csv(path: Path, header, rows):
@@ -109,7 +94,7 @@ def _run_one(algo, e, tests, actions, config, out_dir=None):
 
     start = time.perf_counter()
     if algo == "glstar":
-        target = normalize(gkat_automaton(e, tests, actions, config.state_cap))
+        target = normalize(gkat_automaton(e, tests, actions))
         teacher = GkatTeacher(target)
         aut, stats = glstar(
             teacher,
@@ -121,7 +106,7 @@ def _run_one(algo, e, tests, actions, config, out_dir=None):
         )
         dot = gkat_dot(aut)
     elif algo == "lstar":
-        target = kat_moore_automaton(embed_kat(e), tests, actions, config.state_cap)
+        target = kat_moore_automaton(embed_kat(e), tests, actions)
         teacher = MooreTeacher(target)
         aut, stats = lstar_moore(teacher, tests, actions, on_event=on_event)
         dot = moore_dot(aut)
@@ -152,7 +137,7 @@ def _run_one(algo, e, tests, actions, config, out_dir=None):
 def cmd_learn(config: ExperimentConfig) -> int:
     tests = TestSet(config.tests)
     actions = config.actions
-    atoms(tests, config.atom_cap)
+    atoms(tests)  # exit 3 before parsing when there are too many atoms
     e = parse_exp(config.expr, tests, actions)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,7 +157,7 @@ def cmd_learn(config: ExperimentConfig) -> int:
                 record.equivalence_queries,
             )
         )
-    _write_csv(out_dir / "stats.csv", CSV_COLUMNS, [r.as_list() for r in records])
+    _write_csv(out_dir / "stats.csv", CSV_COLUMNS, map(astuple, records))
     return 0
 
 
@@ -187,7 +172,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
     records = []
     for n in range(1, config.sweep + 1):
         tests = TestSet(config.tests[:n])
-        atoms(tests, config.atom_cap)
+        atoms(tests)
         e = parse_exp(config.expr, tests, config.actions)
         for algo in algos:
             record, _ = _run_one(algo, e, tests, config.actions, config)
@@ -202,7 +187,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
                     record.hypothesis_states,
                 )
             )
-    _write_csv(out_dir / "compare.csv", CSV_COLUMNS, [r.as_list() for r in records])
+    _write_csv(out_dir / "compare.csv", CSV_COLUMNS, map(astuple, records))
     return 0
 
 

@@ -5,11 +5,15 @@ by promoting unmatched fringe rows, read off a hypothesis, and ask the
 teacher for equivalence; counterexamples contribute all their suffixes as
 new columns. The two tables differ only in their cell kind.
 
-The guarded learner's rows are dangling words and its columns are guarded
-strings; a cell is one membership query, and only fringe rows holding a
-one need a matching upper row. The classic Moore learner's rows and
-columns are (atom, action) letter words; a cell is the word's output row,
-one query per atom, and every fringe row needs a matching upper row.
+Rows of both tables are (atom, action) letter words. The guarded
+learner's columns are guarded strings; a cell is one membership query of
+the row joined to the column, and only fringe rows holding a one need a
+matching upper row. The classic Moore learner's columns are letter words
+too; a cell is the word's output row, one query per atom, and every
+fringe row needs a matching upper row.
+Cells are stored row-major: each row maps to the list of its cell values
+in column order. Columns are only ever appended, so a row's missing cells
+are always its last ones, and a row comparison is one tuple of that list.
 Query counters tally raw queries as issued, with no memoization across
 cells; an optional deduction mode of the guarded table fills cells that
 are forced to zero by determinacy of guarded languages without consulting
@@ -31,14 +35,13 @@ from .automata import (
     run_gkat_prefix,
 )
 from .syntax import (
-    Atom,
-    EMPTY_PREFIX,
-    GuardedPrefix,
     GuardedString,
     TestSet,
     atoms,
+    join,
     suffixes_gs,
     suffixes_word,
+    word_to_str,
 )
 
 
@@ -100,16 +103,10 @@ class MooreTeacher(Teacher):
 # ===== Event formatting =====
 
 
-def _word_str(word) -> str:
-    if not word:
-        return "ε"
-    return "".join(str(a) + p for a, p in word)
-
-
 def _payload_str(value) -> str:
-    if isinstance(value, (GuardedString, GuardedPrefix)):
+    if isinstance(value, GuardedString):
         return str(value)
-    return _word_str(value)
+    return word_to_str(value)
 
 
 def format_event(kind: str, payload) -> str:
@@ -134,13 +131,14 @@ def format_event(kind: str, payload) -> str:
 
 
 class ObservationTable:
-    """Rows S and columns E with one filled cell per (row, column) pair.
+    """Letter-word rows S and columns E, with cells stored row-major.
 
     The upper rows S start at the empty word and stay prefix-closed; the
-    columns E stay suffix-closed. Fringe rows extend an upper row by one
-    (atom, action) letter. Subclasses set the cell kind: the empty row,
-    the first columns, how a row grows by a letter, how a counterexample
-    splits into suffixes, how a row's missing cells are filled, which
+    columns E stay suffix-closed and only grow at their end. Fringe rows
+    extend an upper row by one (atom, action) letter. `cells[t]` lists row
+    t's values for E[0], E[1], ...; after `fill` it holds one per column.
+    Subclasses set the cell kind: the first columns, how a counterexample
+    splits into suffixes, how a row's last missing cells are filled, which
     fringe rows need an upper match, the hypothesis read-off, and how a
     cell is written in snapshots.
     """
@@ -160,11 +158,11 @@ class ObservationTable:
         self.on_event = on_event
         self.atoms = atoms(tests)
         self.letters = [(a, p) for a in self.atoms for p in self.actions]
-        self.S = [self._empty_row]
-        self._s_set = {self._empty_row}
+        self.S = [()]
+        self._s_set = {()}
         self.E = self._first_columns()
         self._e_set = set(self.E)
-        self.cells: Dict[tuple, object] = {}
+        self.cells: Dict[tuple, list] = {}
         self._emit("columns", tuple(self.E))
 
     def _emit(self, kind, payload):
@@ -183,20 +181,20 @@ class ObservationTable:
         seen = set(self._s_set)
         for s in self.S:
             for letter in self.letters:
-                t = self._extend(s, letter)
+                t = s + (letter,)
                 if t not in seen:
                     seen.add(t)
                     rows.append(t)
         return rows
 
     def row(self, t) -> tuple:
-        return tuple(self.cells[(t, e)] for e in self.E)
+        return tuple(self.cells[t])
 
     def fill(self):
         for t in self.all_rows():
-            missing = [e for e in self.E if (t, e) not in self.cells]
-            if missing:
-                self._fill_row(t, missing)
+            have = len(self.cells.setdefault(t, []))
+            if have < len(self.E):
+                self._fill_row(t, self.E[have:])
         return self
 
     def unclosed_row(self):
@@ -254,9 +252,8 @@ class ObservationTable:
         body = []
         for t in self.all_rows():
             label = _payload_str(t) + (" *" if t in self._s_set else "")
-            values = [self.cells.get((t, e)) for e in self.E]
-            cells = ["" if v is None else self._cell_str(v) for v in values]
-            body.append([label] + cells)
+            cells = [self._cell_str(v) for v in self.cells.get(t, ())]
+            body.append([label] + cells + [""] * (len(self.E) - len(cells)))
         return header, body
 
 
@@ -264,14 +261,13 @@ class ObservationTable:
 
 
 class GlObservationTable(ObservationTable):
-    """Rows are dangling words, columns are guarded strings.
+    """Rows are letter words, columns are guarded strings.
 
-    The columns start with all length-one atoms. A cell is one membership
-    query; only fringe rows with a one somewhere need a matching upper
-    row for the table to be closed.
+    The columns start with all length-one atoms, so the column of atom a
+    is E[a.bits]. A cell is one membership query; only fringe rows with a
+    one somewhere need a matching upper row for the table to be closed.
+    `deduced` holds one (row, column) pair per zero-filled cell.
     """
-
-    _empty_row = EMPTY_PREFIX
 
     def __init__(
         self,
@@ -287,64 +283,50 @@ class GlObservationTable(ObservationTable):
         super().__init__(tests, actions, teacher, stats, on_event)
 
     def _first_columns(self) -> List[GuardedString]:
-        return [self._atom_column(a) for a in self.atoms]
-
-    @staticmethod
-    def _extend(s: GuardedPrefix, letter) -> GuardedPrefix:
-        return s.extend(*letter)
+        return [GuardedString((a,), ()) for a in self.atoms]
 
     _suffixes = staticmethod(suffixes_gs)
     _needs_match = staticmethod(any)
     _cell_str = staticmethod(str)
 
-    def _atom_column(self, atom: Atom) -> GuardedString:
-        return GuardedString((atom,), ())
-
-    def _deducible_zero(self, t: GuardedPrefix) -> bool:
+    def _deducible_zero(self, t: tuple) -> bool:
         # Fringe rows only: a cell is forced to zero when the parent row
         # accepts at the last atom, or when a sibling on another action is
         # already known to reach an accepting continuation.
-        if not t.pairs or t in self._s_set:
+        if not t or t in self._s_set:
             return False
-        parent = GuardedPrefix(t.pairs[:-1])
-        if parent not in self._s_set:
+        parent = t[:-1]
+        if parent not in self._s_set or parent not in self.cells:
             return False
-        atom, action = t.pairs[-1]
-        if self.cells.get((parent, self._atom_column(atom))) == 1:
+        atom, action = t[-1]
+        if self.cells[parent][atom.bits] == 1:
             return True
-        for q in self.actions:
-            if q == action:
-                continue
-            sibling = parent.extend(atom, q)
-            for e in self.E:
-                if self.cells.get((sibling, e)) == 1:
-                    return True
-        return False
+        return any(
+            1 in self.cells.get(parent + ((atom, q),), ())
+            for q in self.actions
+            if q != action
+        )
 
-    def _deduce_zero(self, key):
-        self.cells[key] = 0
-        self.deduced.add(key)
-        self.stats.zero_filled += 1
+    def _zero_fill_row(self, t: tuple, columns: List[GuardedString]):
+        self.cells.setdefault(t, []).extend([0] * len(columns))
+        self.deduced.update((t, e) for e in columns)
+        self.stats.zero_filled += len(columns)
 
-    def _fill_row(self, t: GuardedPrefix, columns: List[GuardedString]):
+    def _fill_row(self, t: tuple, columns: List[GuardedString]):
         # Deducibility reads only the parent's and the siblings' cells, never
         # row t's own, so one answer holds while the row fills.
         if self.zero_fill and self._deducible_zero(t):
-            for e in columns:
-                self._deduce_zero((t, e))
+            self._zero_fill_row(t, columns)
         else:
-            for e in columns:
-                self.cells[(t, e)] = self._query(t.join(e))
+            self.cells[t] += [self._query(join(t, e)) for e in columns]
 
     def apply_zero_fill(self):
         """Fill every missing cell whose value determinacy already forces,
         without consulting the teacher."""
         for t in self.all_rows():
-            if not self._deducible_zero(t):
-                continue
-            for e in self.E:
-                if (t, e) not in self.cells:
-                    self._deduce_zero((t, e))
+            have = len(self.cells.get(t, ()))
+            if have < len(self.E) and self._deducible_zero(t):
+                self._zero_fill_row(t, self.E[have:])
         return self
 
     def hypothesis(self) -> GkatAutomaton:
@@ -359,15 +341,15 @@ class GlObservationTable(ObservationTable):
         for s in self.S:
             entries = []
             for atom in self.atoms:
-                live = [p for p in self.actions if any(self.row(s.extend(atom, p)))]
-                accepts = self.cells[(s, self._atom_column(atom))] == 1
+                live = [p for p in self.actions if 1 in self.cells[s + ((atom, p),)]]
+                accepts = self.cells[s][atom.bits] == 1
                 if len(live) > 1 or (live and accepts):
                     raise InternalInconsistencyError(
-                        "observations branch at %s under %s" % (s, atom)
+                        "observations branch at %s under %s" % (word_to_str(s), atom)
                     )
                 if live:
                     p = live[0]
-                    entries.append((p, self._state(index, s.extend(atom, p))))
+                    entries.append((p, self._state(index, s + ((atom, p),))))
                 else:
                     entries.append(1 if accepts else 0)
             delta.append(tuple(entries))
@@ -386,14 +368,8 @@ class LStarObservationTable(ObservationTable):
     needs a matching upper row.
     """
 
-    _empty_row = ()
-
     def _first_columns(self) -> List[tuple]:
         return [()]
-
-    @staticmethod
-    def _extend(s: tuple, letter) -> tuple:
-        return s + (letter,)
 
     _suffixes = staticmethod(suffixes_word)
 
@@ -410,9 +386,9 @@ class LStarObservationTable(ObservationTable):
             word = t + e
             head = tuple(a for a, _ in word)
             acts = tuple(p for _, p in word)
-            self.cells[(t, e)] = tuple(
+            self.cells[t].append(tuple(
                 self._query(GuardedString(head + (atom,), acts)) for atom in self.atoms
-            )
+            ))
 
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""
@@ -421,7 +397,7 @@ class LStarObservationTable(ObservationTable):
             tuple(self._state(index, s + (letter,)) for letter in self.letters)
             for s in self.S
         )
-        outputs = tuple(self.cells[(s, ())] for s in self.S)
+        outputs = tuple(self.cells[s][0] for s in self.S)
         return MooreAutomaton(self.tests, self.actions, delta, outputs, 0)
 
 
@@ -468,13 +444,13 @@ def optimized_counterexample(
     if m == 0:
         return z
     for k in range(m, 0, -1):
-        consumed = GuardedPrefix(tuple(zip(z.atoms[: k - 1], z.actions[: k - 1])))
+        consumed = tuple(zip(z.atoms[: k - 1], z.actions[: k - 1]))
         state = run_gkat_prefix(hypothesis, hypothesis.initial, consumed)
         if state is None:
             continue
         tail = GuardedString(z.atoms[k - 1 :], z.actions[k - 1 :])
         hyp_bit = accepts_gkat(hypothesis, state, tail)
-        if hyp_bit != table._query(table.S[state].join(tail)):
+        if hyp_bit != table._query(join(table.S[state], tail)):
             return GuardedString(z.atoms[k:], z.actions[k:])
     raise InternalInconsistencyError("counterexample has no informative suffix")
 

@@ -1,9 +1,10 @@
 """Core syntax for guarded programs.
 
 Boolean guards, program expressions, atoms (truth assignments over the
-declared tests), guarded strings and prefixes with fusion, the imperative
-concrete syntax parser, pretty printers, and the embedding into plain
-Kleene algebra with tests terms.
+declared tests), guarded strings with fusion, letter words (tuples of
+(atom, action) pairs, the dangling prefixes of guarded strings) with
+`join` and `word_to_str`, the imperative concrete syntax parser, pretty
+printers, and the embedding into plain Kleene algebra with tests terms.
 
 Expression, guard and KAT term nodes are immutable, and each node's hash
 is fixed at construction from its children's stored hashes. Hashing a
@@ -289,33 +290,20 @@ class GuardedString:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class GuardedPrefix:
-    """Dangling word (a0, p1)(a1, p2)... awaiting a guarded string tail."""
-
-    pairs: Tuple[Tuple[Atom, str], ...]
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.pairs)
-
-    def extend(self, atom: Atom, action: str) -> "GuardedPrefix":
-        return GuardedPrefix(self.pairs + ((atom, action),))
-
-    def join(self, tail: GuardedString) -> GuardedString:
-        """Concatenate; the tail's head atom fills the dangling slot."""
-        return GuardedString(
-            tuple(a for a, _ in self.pairs) + tail.atoms,
-            tuple(p for _, p in self.pairs) + tail.actions,
-        )
-
-    def __str__(self):
-        if not self.pairs:
-            return "ε"
-        return "".join(str(a) + p for a, p in self.pairs)
+def join(word: tuple, tail: GuardedString) -> GuardedString:
+    """Concatenate a letter word (a0, p1)(a1, p2)... and a guarded string;
+    the tail's head atom follows the word's last action."""
+    return GuardedString(
+        tuple(a for a, _ in word) + tail.atoms,
+        tuple(p for _, p in word) + tail.actions,
+    )
 
 
-EMPTY_PREFIX = GuardedPrefix(())
+def word_to_str(word: tuple) -> str:
+    """Print a letter word; the empty word prints as ε."""
+    if not word:
+        return "ε"
+    return "".join(str(a) + p for a, p in word)
 
 
 def fuse(v: GuardedString, w: GuardedString) -> Optional[GuardedString]:
@@ -337,7 +325,7 @@ def suffixes_gs(z: GuardedString) -> List[GuardedString]:
 
 
 def suffixes_word(w: tuple) -> List[tuple]:
-    """All suffixes of a plain tuple word, longest first, ending with ()."""
+    """All suffixes of a letter word, longest first, ending with ()."""
     return [w[i:] for i in range(len(w) + 1)]
 
 

@@ -6,9 +6,7 @@ from dataclasses import replace
 import pytest
 
 from gkat import (
-    EMPTY_PREFIX,
     GkatAutomaton,
-    GuardedPrefix,
     GuardedString,
     MooreAutomaton,
     NotNormalError,
@@ -33,6 +31,7 @@ from gkat import (
     run_gkat_prefix,
     similar,
     unrolled_while_automaton,
+    word_to_str,
 )
 from helpers import (
     enumerate_guarded_strings,
@@ -129,10 +128,10 @@ def test_accepts_rejects_foreign_atoms():
 
 def test_run_gkat_prefix():
     f = fixture()
-    assert run_gkat_prefix(f, 0, EMPTY_PREFIX) == 0
-    assert run_gkat_prefix(f, 0, GuardedPrefix(((POS, "p"),))) == 1
-    assert run_gkat_prefix(f, 0, GuardedPrefix(((POS, "q"),))) is None
-    two = GuardedPrefix(((NEG, "q"), (POS, "p")))
+    assert run_gkat_prefix(f, 0, ()) == 0
+    assert run_gkat_prefix(f, 0, ((POS, "p"),)) == 1
+    assert run_gkat_prefix(f, 0, ((POS, "q"),)) is None
+    two = ((NEG, "q"), (POS, "p"))
     assert run_gkat_prefix(f, 0, two) is None  # accepting state has no steps
 
 
@@ -151,8 +150,8 @@ def test_state_arguments_out_of_range():
         lambda: accepts_gkat(f, 3, w),
         lambda: accepts_moore(m, -1, w),
         lambda: accepts_moore(m, 4, w),
-        lambda: run_gkat_prefix(f, -1, EMPTY_PREFIX),
-        lambda: run_gkat_prefix(f, 3, EMPTY_PREFIX),
+        lambda: run_gkat_prefix(f, -1, ()),
+        lambda: run_gkat_prefix(f, 3, ()),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="out of range"):
@@ -172,7 +171,7 @@ def test_reachable_discovery_order_and_witnesses():
     out, witnesses = reachable(extra)
     assert out.n_states == 3
     # breadth-first over atoms in order: b̄ edge found before b edge
-    assert [str(w) for w in witnesses] == ["ε", "b̄q", "bp"]
+    assert [word_to_str(w) for w in witnesses] == ["ε", "b̄q", "bp"]
     assert accepts_gkat(out, 0, _gs((POS, NEG, POS), ("p", "q"))) == 1
 
 
@@ -514,7 +513,7 @@ def _comparison_lines(a, b):
 def _machine_lines(a):
     """Outputs of reachability and minimization on one guarded automaton."""
     base, witnesses = reachable(a)
-    lines = [repr(base.delta), " ".join(str(w) for w in witnesses)]
+    lines = [repr(base.delta), " ".join(word_to_str(w) for w in witnesses)]
     lines.append(repr(minimize(a).delta) if is_normal(a) else "not normal")
     m = embed_moore(a)
     lines += [_machine(moore_reachable(m)), _machine(minimize_moore(m))]

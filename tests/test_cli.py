@@ -471,8 +471,6 @@ def test_exit_code_contract(tmp_path, capsys):
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig("do p", ("b",), ("p",), sweep=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig("do p", ("b",), ("p",), state_cap=0)
 
 
 def test_console_script_installed():

@@ -4,10 +4,8 @@ import random
 import pytest
 
 from gkat import (
-    EMPTY_PREFIX,
     GkatTeacher,
     GlObservationTable,
-    GuardedPrefix,
     GuardedString,
     InternalInconsistencyError,
     LStarObservationTable,
@@ -23,6 +21,7 @@ from gkat import (
     gkat_automaton,
     gkat_dot,
     glstar,
+    join,
     lstar_moore,
     minimize,
     minimize_moore,
@@ -31,6 +30,7 @@ from gkat import (
     normalize,
     optimized_counterexample,
     parse_exp,
+    word_to_str,
 )
 from helpers import rand_normal_automaton
 
@@ -123,12 +123,12 @@ def test_glstar_table_milestones():
     table.fill()
 
     unmatched = table.unclosed_row()
-    assert unmatched == GuardedPrefix(((NEG, "q"),))
+    assert unmatched == ((NEG, "q"),)
     with pytest.raises(NotClosedError):
         table.hypothesis()
 
     table.close()
-    assert [str(s) for s in table.S] == ["ε", "b̄q"]
+    assert [word_to_str(s) for s in table.S] == ["ε", "b̄q"]
     hyp = table.hypothesis()
     assert hyp.n_states == 2
     assert hyp.delta[0][POS.bits] == 0  # loop atom wrongly rejects so far
@@ -142,8 +142,8 @@ def test_glstar_table_milestones():
     # the new columns close the table immediately, yet change row(ε):
     # zero in every old column, one under both new suffixes
     assert table.unclosed_row() is None
-    assert all(table.cells[(EMPTY_PREFIX, e)] == 0 for e in old_columns)
-    assert table.cells[(EMPTY_PREFIX, table.E[2])] == 1
+    assert table.cells[()][: len(old_columns)] == [0] * len(old_columns)
+    assert table.cells[()][2] == 1
     fixed = table.hypothesis()
     assert fixed.delta == TARGET_DELTA
     assert stats.membership_queries == 36
@@ -207,8 +207,8 @@ def test_zero_fill_audit():
     table.add_counterexample(z)
     assert table.deduced
     for t, e in table.deduced:
-        assert table.cells[(t, e)] == 0
-        assert teacher.membership(t.join(e)) == 0
+        assert table.cells[t][table.E.index(e)] == 0
+        assert teacher.membership(join(t, e)) == 0
 
 
 def test_apply_zero_fill_on_plain_table():
@@ -218,7 +218,7 @@ def test_apply_zero_fill_on_plain_table():
     table = GlObservationTable(T1, ACTS, teacher, stats)
     table.fill()
     table.close()
-    filled = dict(table.cells)
+    filled = {t: list(cells) for t, cells in table.cells.items()}
     table.apply_zero_fill()
     # already-filled cells never flip, and no new key appears post fill
     assert table.cells == filled
@@ -235,7 +235,7 @@ def test_hypothesis_reports_duplicate_upper_rows():
     table = GlObservationTable(T1, ACTS, GkatTeacher(target), stats)
     table.fill()
     table.close()
-    table.promote(GuardedPrefix(((POS, "p"),)))  # same row as the empty word
+    table.promote(((POS, "p"),))  # same row as the empty word
     with pytest.raises(InternalInconsistencyError):
         table.hypothesis()
 
@@ -355,10 +355,59 @@ def test_moore_teacher():
 
 # ===== invariants on random targets =====
 
+def _check_every_fill(table):
+    """Wrap the table's fill: afterwards every row holds one cell per
+    column, and the snapshot shows no empty cell."""
+    fill = table.fill
+
+    def checked_fill():
+        fill()
+        assert all(len(table.cells[t]) == len(table.E) for t in table.all_rows())
+        _, body = table.snapshot()
+        assert all(cell != "" for row in body for cell in row[1:])
+        return table
+
+    table.fill = checked_fill
+    return table
+
+
+def test_columns_only_append_to_rows():
+    """Counterexample columns go at the end of E: each row keeps its earlier
+    cells and gains exactly the new ones."""
+    rng = random.Random(41)
+    targets = [loop_target()] + [
+        rand_normal_automaton(rng, T1, ACTS, rng.randint(2, 5)) for _ in range(8)
+    ]
+    counterexamples = {GlObservationTable: 0, LStarObservationTable: 0}
+    for target in targets:
+        moore_target = minimize_moore(embed_moore(target))
+        tables = [
+            GlObservationTable(T1, ACTS, GkatTeacher(target), QueryStats(), zero_fill=deduce)
+            for deduce in (False, True)
+        ]
+        tables.append(
+            LStarObservationTable(T1, ACTS, MooreTeacher(moore_target), QueryStats())
+        )
+        for table in tables:
+            _check_every_fill(table).fill()
+            while True:
+                z = table.teacher.equivalence(table.close().hypothesis())
+                if z is None:
+                    break
+                columns = list(table.E)
+                before = {t: list(cells) for t, cells in table.cells.items()}
+                table.add_counterexample(z)
+                counterexamples[type(table)] += 1
+                assert table.E[: len(columns)] == columns
+                for t, cells in before.items():
+                    assert table.cells[t][: len(cells)] == cells
+    assert all(counterexamples.values())
+
+
 def _table_invariants(table):
     for s in table.S:
-        for i in range(len(s.pairs)):
-            assert GuardedPrefix(s.pairs[:i]) in table._s_set
+        for i in range(len(s)):
+            assert s[:i] in table._s_set
     from gkat import suffixes_gs
 
     for e in table.E:

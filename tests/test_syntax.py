@@ -26,10 +26,12 @@ from gkat import (
     embed_kat,
     exp_to_str,
     fuse,
+    join,
     parse_bexp,
     parse_exp,
     suffixes_gs,
     suffixes_word,
+    word_to_str,
 )
 from gkat.syntax import (
     KAct,
@@ -190,6 +192,20 @@ def test_suffixes_gs_cardinality_and_order(z):
 def test_suffixes_word():
     w = ((NEG, "p"), (POS, "q"))
     assert suffixes_word(w) == [w, ((POS, "q"),), ()]
+
+
+def test_word_to_str():
+    assert word_to_str(()) == "ε"
+    assert word_to_str(((NEG, "q"), (POS, "p"))) == "b̄qbp"
+
+
+@given(gstrings)
+@settings(max_examples=60)
+def test_join_rebuilds_guarded_strings(z):
+    assert join((), z) == z
+    word = tuple(zip(z.atoms, z.actions))
+    for i, tail in enumerate(suffixes_gs(z)):
+        assert join(word[:i], tail) == z
 
 
 # ===== parser and printers =====
