@@ -27,8 +27,10 @@ reachability) for `reachable`, `moore_reachable` and the minimizations;
 `bisimilar`, `isomorphic` and `moore_isomorphic` on `_split`, and for the
 difference searches on `_unfold`, which accept either machine kind on
 either side.
-`similar` keeps its own fixpoint: simulation is one-sided (an accept must
-be matched, a reject need not be), so it is not equality of labels.
+`similar` walks its own pairs: simulation is one-sided (an accept must
+be matched, a reject need not be), so it is not equality of labels, but
+the automata are deterministic, so one walk over the pairs reachable
+from (x, y) by steps on the same action decides it.
 """
 from __future__ import annotations
 
@@ -87,9 +89,6 @@ class GkatAutomaton:
     @property
     def n_states(self) -> int:
         return len(self.delta)
-
-    def atom_list(self) -> List[Atom]:
-        return atoms(self.tests)
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,7 @@ def reachable(aut: GkatAutomaton):
     """
     pred = _bfs(_split(aut), aut.initial)
     index = {x: i for i, x in enumerate(pred)}
-    ats = aut.atom_list()
+    ats = atoms(aut.tests)
     witness = {aut.initial: ()}
     for y, (x, i) in list(pred.items())[1:]:
         bits, p = [(b, e[0]) for b, e in enumerate(aut.delta[x]) if isinstance(e, tuple)][i]
@@ -384,22 +383,23 @@ def similar(a: GkatAutomaton, x: int, b: GkatAutomaton, y: int) -> int:
     _check_same_alphabet(a, b)
     _check_state(a, x)
     _check_state(b, y)
-    rel = [[True] * b.n_states for _ in range(a.n_states)]
-    changed = True
-    while changed:
-        changed = False
-        for u in range(a.n_states):
-            for v in range(b.n_states):
-                if not rel[u][v]:
-                    continue
-                for e1, e2 in zip(a.delta[u], b.delta[v]):
-                    if e1 == 1 and e2 != 1 or isinstance(e1, tuple) and (
-                        not isinstance(e2, tuple) or e1[0] != e2[0] or not rel[e1[1]][e2[1]]
-                    ):
-                        rel[u][v] = False
-                        changed = True
-                        break
-    return int(rel[x][y])
+    # both automata are deterministic, so x is simulated by y exactly when
+    # every pair reachable from (x, y) by matched steps passes the local check
+    seen = {(x, y)}
+    stack = [(x, y)]
+    while stack:
+        u, v = stack.pop()
+        for e1, e2 in zip(a.delta[u], b.delta[v]):
+            if e1 == 1 and e2 != 1:
+                return 0
+            if isinstance(e1, tuple):
+                if not isinstance(e2, tuple) or e1[0] != e2[0]:
+                    return 0
+                pair = (e1[1], e2[1])
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    return 1
 
 
 # ===== Minimization =====
@@ -549,7 +549,7 @@ def _dot_quote(s: str) -> str:
 
 def gkat_dot(aut: GkatAutomaton, name: str = "gkat") -> str:
     """Graphviz rendering; accepting atoms are listed inside the node."""
-    ats = aut.atom_list()
+    ats = atoms(aut.tests)
     lines = ["digraph %s {" % name, "  rankdir=LR;", "  node [shape=circle];"]
     lines.append("  init [shape=point];")
     for x in range(aut.n_states):

@@ -234,6 +234,7 @@ def kat_moore_automaton(
     max_states: int = STATE_LIMIT,
 ) -> MooreAutomaton:
     """The derivative Moore machine of a KAT term; state 0 is k itself."""
+    _check_actions(k, actions)
     ats = atoms(tests)
     actions = tuple(actions)
     states = [k]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
@@ -171,8 +172,9 @@ def is_bexp(e: Exp) -> bool:
     return isinstance(e, BExp)
 
 
-def _check_actions(e: Exp, actions) -> None:
-    """Reject expressions that use an action outside `actions`.
+def _check_actions(e, actions) -> None:
+    """Reject guarded expressions or KAT terms that use an action outside
+    `actions`.
 
     The walk keeps its own stack, so deep trees do not recurse.
     """
@@ -180,7 +182,7 @@ def _check_actions(e: Exp, actions) -> None:
     stack = [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Act):
+        if isinstance(x, (Act, KAct)):
             used.add(x.name)
         elif isinstance(x, Seq):
             stack += (x.left, x.right)
@@ -188,6 +190,12 @@ def _check_actions(e: Exp, actions) -> None:
             stack += (x.then_branch, x.else_branch)
         elif isinstance(x, While):
             stack.append(x.body)
+        elif isinstance(x, KPlus):
+            stack += x.terms
+        elif isinstance(x, KSeq):
+            stack += x.parts
+        elif isinstance(x, KStar):
+            stack.append(x.arg)
     missing = used - set(actions)
     if missing:
         raise ValueError("undeclared actions: %s" % ", ".join(sorted(missing)))
@@ -214,15 +222,21 @@ class Atom:
         return bool(self.bits >> (len(self.tests) - 1 - i) & 1)
 
     def __str__(self):
-        if not self.tests:
-            return "⊤"
-        out = []
-        for i, name in enumerate(self.tests):
-            if self.bits >> (len(self.tests) - 1 - i) & 1:
-                out.append(name)
-            else:
-                out.append(name + MACRON)
-        return "".join(out)
+        return _atom_str(self.tests, self.bits)
+
+
+@lru_cache(maxsize=4096)
+def _atom_str(tests: Tuple[str, ...], bits: int) -> str:
+    """The printed atom; cached, since traces print each atom many times."""
+    if not tests:
+        return "⊤"
+    out = []
+    for i, name in enumerate(tests):
+        if bits >> (len(tests) - 1 - i) & 1:
+            out.append(name)
+        else:
+            out.append(name + MACRON)
+    return "".join(out)
 
 
 def atoms(tests: TestSet, limit: int = ATOM_LIMIT) -> List[Atom]:
@@ -422,10 +436,6 @@ def kplus(*terms: KatExp) -> KatExp:
     return KPlus(tuple(ordered))
 
 
-def kstar(k: KatExp) -> KatExp:
-    return KStar(k)
-
-
 def _guard_pos(b: BExp) -> KatExp:
     if isinstance(b, Zero):
         return KZERO
@@ -461,7 +471,7 @@ def embed_kat(e: Exp) -> KatExp:
         )
     if isinstance(e, While):
         return kseq(
-            kstar(kseq(_guard_pos(e.cond), embed_kat(e.body))),
+            KStar(kseq(_guard_pos(e.cond), embed_kat(e.body))),
             _guard_neg(e.cond),
         )
     raise TypeError("not an expression: %r" % (e,))

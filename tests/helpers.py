@@ -168,3 +168,26 @@ def bounded_inclusion_violation(
                         nxt[key] = path + ((ats[bits], p),)
         frontier = nxt
     return None
+
+
+def similar_fixpoint(a: GkatAutomaton, b: GkatAutomaton) -> List[List[bool]]:
+    """The simulation relation between all states of a and b, as the
+    greatest fixpoint: start from all pairs and drop a pair while some atom
+    has an accept of the left unmatched, or a step of the left not matched
+    by a step of the right on the same action into a kept pair."""
+    rel = [[True] * b.n_states for _ in range(a.n_states)]
+    changed = True
+    while changed:
+        changed = False
+        for u in range(a.n_states):
+            for v in range(b.n_states):
+                if not rel[u][v]:
+                    continue
+                for e1, e2 in zip(a.delta[u], b.delta[v]):
+                    if e1 == 1 and e2 != 1 or isinstance(e1, tuple) and (
+                        not isinstance(e2, tuple) or e1[0] != e2[0] or not rel[e1[1]][e2[1]]
+                    ):
+                        rel[u][v] = False
+                        changed = True
+                        break
+    return rel

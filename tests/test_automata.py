@@ -39,6 +39,7 @@ from helpers import (
     rand_automaton,
     rand_normal_automaton,
     renumbered,
+    similar_fixpoint,
 )
 
 T1 = TestSet(("b",))
@@ -240,6 +241,24 @@ def test_similar_examples():
     any_atom = GkatAutomaton(T1, ACTS, (((("p", 1)), ("p", 1)), (1, 1)), 0)
     assert similar(only_b, 0, any_atom, 0) == 1
     assert similar(any_atom, 0, only_b, 0) == 0
+
+
+def test_similar_agrees_with_fixpoint():
+    """The pair walk of `similar` decides every state pair of raw and normal
+    random automata, over one and two tests, as the greatest fixpoint does."""
+    rng = random.Random(381)
+    verdicts = set()
+    for trial in range(120):
+        tests = TestSet(("b", "c")[: 1 + trial % 2])
+        make = rand_automaton if trial % 4 < 2 else rand_normal_automaton
+        a = make(rng, tests, ACTS, 6)
+        b = make(rng, tests, ACTS, 6) if trial % 3 else mutant(rng, normalize(a))
+        rel = similar_fixpoint(a, b)
+        for x in range(a.n_states):
+            for y in range(b.n_states):
+                assert similar(a, x, b, y) == int(rel[x][y]), (trial, x, y)
+                verdicts.add(rel[x][y])
+    assert verdicts == {True, False}
 
 
 def test_mismatched_alphabets_rejected():

@@ -18,7 +18,8 @@ from gkat import (
     moore_difference_gs,
     normalize,
 )
-from gkat.cli import CSV_COLUMNS, ExperimentConfig, main
+import gkat.cli
+from gkat.cli import CSV_COLUMNS, main
 from gkat.syntax import MACRON
 from helpers import mutant, rand_bexp, rand_exp, rand_normal_automaton
 
@@ -468,9 +469,46 @@ def test_exit_code_contract(tmp_path, capsys):
         assert code in (0, 1) or err, argv
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig("do p", ("b",), ("p",), sweep=0)
+def test_sweep_must_be_positive(tmp_path, capsys):
+    rc = main(["compare", "--expr", "do p", "--tests", "b", "--actions", "p",
+               "--sweep", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sweep must be at least 1\n"
+
+
+def test_events_are_formatted_only_for_a_trace(tmp_path, monkeypatch, capsys):
+    """Neither compare nor learn without --trace formats a learner event."""
+
+    def refuse(kind, payload):
+        raise AssertionError("formatted a %s event" % kind)
+
+    monkeypatch.setattr(gkat.cli, "format_event", refuse)
+    base = ["--expr", WHILE_PROG, "--tests", "b,c", "--actions", "p,q",
+            "--out-dir", str(tmp_path)]
+    assert main(["compare"] + base + ["--sweep", "2"]) == 0
+    assert main(["learn"] + base + ["--algo", "both"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_trace_changes_no_other_file(tmp_path):
+    """learn writes the same DOT, table CSVs and stats rows with and without
+    --trace; the trace adds only the trace logs."""
+    base = ["learn", "--expr", WHILE_PROG, "--tests", "b", "--actions", "p,q",
+            "--algo", "both"]
+    assert main(base + ["--out-dir", str(tmp_path / "plain")]) == 0
+    assert main(base + ["--trace", "--out-dir", str(tmp_path / "traced")]) == 0
+    plain = sorted(f.name for f in (tmp_path / "plain").iterdir())
+    traced = sorted(f.name for f in (tmp_path / "traced").iterdir())
+    assert traced == sorted(plain + ["glstar_trace.log", "lstar_trace.log"])
+    for name in plain:
+        if name == "stats.csv":
+            continue
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "traced" / name
+        ).read_bytes(), name
+    assert drop_wall(read_csv(tmp_path / "plain" / "stats.csv")) == drop_wall(
+        read_csv(tmp_path / "traced" / "stats.csv")
+    )
 
 
 def test_console_script_installed():

@@ -76,6 +76,11 @@ def test_capacity_limit():
 def test_undeclared_action_rejected():
     with pytest.raises(ValueError):
         gkat_automaton(Act("r"), T1, ACTS)
+    with pytest.raises(ValueError, match="undeclared actions: z"):
+        kat_moore_automaton(embed_kat(Act("z")), T1, ("p",))
+    nested = parse_exp("while b do (do p; if b then do q else do z)", T1, ("p", "q", "z"))
+    with pytest.raises(ValueError, match="undeclared actions: z"):
+        kat_moore_automaton(embed_kat(nested), T1, ACTS)
 
 
 def test_automaton_agrees_with_language():

@@ -43,7 +43,6 @@ from gkat.syntax import (
     KZERO,
     kplus,
     kseq,
-    kstar,
 )
 
 T1 = TestSet(("b",))
@@ -304,7 +303,7 @@ def test_kplus_aci():
 
 def test_embed_while_program():
     e = parse_exp("(while b do do p); do q", T1, ACTS)
-    want = kseq(kstar(kseq(KTest(Test("b")), KAct("p"))), KTest(Not(Test("b"))), KAct("q"))
+    want = kseq(KStar(kseq(KTest(Test("b")), KAct("p"))), KTest(Not(Test("b"))), KAct("q"))
     assert embed_kat(e) == want
 
 
