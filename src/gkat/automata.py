@@ -141,17 +141,11 @@ def accepts_gkat(aut: GkatAutomaton, state: int, w: GuardedString) -> int:
     """Run w from the given state; 1 iff the word is accepted."""
     if w.atoms[0].tests != aut.tests.tests:
         raise ValueError("word atoms use different tests")
-    _check_state(aut, state)
-    x = state
-    for i, p in enumerate(w.actions):
-        entry = aut.delta[x][w.atoms[i].bits]
-        if not isinstance(entry, tuple) or entry[0] != p:
-            return 0
-        x = entry[1]
-    return 1 if aut.delta[x][w.last_atom.bits] == 1 else 0
+    x = run_gkat_prefix(aut, state, zip(w.atoms, w.actions))
+    return 0 if x is None else int(aut.delta[x][w.last_atom.bits] == 1)
 
 
-def run_gkat_prefix(aut: GkatAutomaton, state: int, word: tuple) -> Optional[int]:
+def run_gkat_prefix(aut: GkatAutomaton, state: int, word) -> Optional[int]:
     """Follow a letter word of (atom, action) pairs; None when some step is
     missing or mislabeled."""
     _check_state(aut, state)
@@ -168,11 +162,18 @@ def accepts_moore(aut: MooreAutomaton, state: int, w: GuardedString) -> int:
     """Follow w's letters, then read the output bit at its last atom."""
     if w.atoms[0].tests != aut.tests.tests:
         raise ValueError("word atoms use different tests")
+    x = run_moore_prefix(aut, state, zip(w.atoms, w.actions))
+    return aut.outputs[x][w.last_atom.bits]
+
+
+def run_moore_prefix(aut: MooreAutomaton, state: int, word) -> int:
+    """Follow a letter word of (atom, action) pairs through a Moore machine."""
     _check_state(aut, state)
     x = state
-    for i, p in enumerate(w.actions):
-        x = aut.delta[x][w.atoms[i].bits * len(aut.actions) + aut.actions.index(p)]
-    return aut.outputs[x][w.last_atom.bits]
+    k = len(aut.actions)
+    for atom, p in word:
+        x = aut.delta[x][atom.bits * k + aut.actions.index(p)]
+    return x
 
 
 # ===== Labels and successors =====

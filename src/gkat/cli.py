@@ -8,7 +8,9 @@ Moore machines one state at a time), and words (dump the bounded semantics).
 Each subparser sets `run` to its `cmd_<name>`, which takes the parsed
 arguments; `main` calls it inside one mapping of errors to exit codes.
 Learner events are observed only for the files written: `learn` keeps a
-table snapshot per hypothesis and, under --trace, formats the trace lines;
+table snapshot per hypothesis, so without --trace it subscribes only to
+`hypothesis` events and the teachers answer each table row in one walk;
+under --trace it subscribes to every kind and formats the trace lines.
 `compare` writes only compare.csv and observes nothing.
 Exit codes: 0 success or equivalent, 1 inequivalent, 2 bad input or an
 unwritable output directory, 3 capacity, 4 internal inconsistency.
@@ -71,7 +73,8 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
     """Run one learner against one expression and return its record.
 
     Learner events are observed only when there is an `out_dir` to write
-    the table snapshots (and, with `args.trace`, the trace) into.
+    the table snapshots (and, with `args.trace`, the trace) into; without
+    the trace only `hypothesis` events are asked for.
     """
     trace_lines = []
     tables = []
@@ -82,6 +85,7 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
         if kind == "hypothesis":
             tables.append(table.snapshot())
 
+    on_event.events = None if args.trace else ("hypothesis",)
     observe = None if out_dir is None else on_event
     actions = args.actions
     start = time.perf_counter()
@@ -135,6 +139,7 @@ def cmd_compare(args) -> int:
         raise ValueError(
             "sweep needs %d test names, got %d" % (args.sweep, len(args.tests))
         )
+    TestSet(args.tests)  # exit 2 on any invalid name, as learn does
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []

@@ -95,12 +95,14 @@ class _Residuals:
     A tail is an int: 0 is the empty list, and any other tail is the
     index of its cell (operand, rest, holds_one) in `cells`, interned so
     that equal lists get the same index. `holds_one` says whether One
-    occurs anywhere in the list.
+    occurs anywhere in the list. `passed` memoizes `step` past a head that
+    passes the atom: the result then depends only on (tail, atom bits).
     """
 
     def __init__(self):
         self.cells = [(None, 0, False)]
         self.ids = {}
+        self.passed = {}
 
     def cons(self, r: Exp, rest: int) -> int:
         key = (r, rest)
@@ -140,13 +142,24 @@ class _Residuals:
     def step(self, residual, atom):
         """`_step` of the residual as a tree, without building the tree."""
         e, tail = residual
+        keys = []
         while True:
             d = _step(e, atom)
             if isinstance(d, tuple):
-                return (d[0], self.fold(d[1], tail))
+                d = (d[0], self.fold(d[1], tail))
+                break
             if d == 0 or not tail:
-                return d
+                break
+            key = (tail, atom.bits)
+            hit = self.passed.get(key)
+            if hit is not None:
+                d = hit
+                break
+            keys.append(key)
             e, tail, _ = self.cells[tail]
+        for key in keys:
+            self.passed[key] = d
+        return d
 
 
 def gkat_automaton(

@@ -3,21 +3,24 @@
 Both learners run one loop over one table engine: fill the table, close it
 by promoting unmatched fringe rows, read off a hypothesis, and ask the
 teacher for equivalence; counterexamples contribute all their suffixes as
-new columns. The two tables differ only in their cell kind.
+new columns. Rows of both tables are (atom, action) letter words. The
+guarded table's columns are guarded strings, a cell is one membership
+query, and only fringe rows holding a one need a matching upper row. The
+Moore table's columns are letter words, a cell is the word's output row,
+one query per atom, and every fringe row needs a matching upper row.
 
-Rows of both tables are (atom, action) letter words. The guarded
-learner's columns are guarded strings; a cell is one membership query of
-the row joined to the column, and only fringe rows holding a one need a
-matching upper row. The classic Moore learner's columns are letter words
-too; a cell is the word's output row, one query per atom, and every
-fringe row needs a matching upper row.
-Cells are stored row-major: each row maps to the list of its cell values
-in column order. Columns are only ever appended, so a row's missing cells
-are always its last ones, and a row comparison is one tuple of that list.
-Query counters tally raw queries as issued, with no memoization across
-cells; an optional deduction mode of the guarded table fills cells that
-are forced to zero by determinacy of guarded languages without consulting
-the teacher.
+A table asks for a row's missing cells in one call, `answer_row` for
+guarded-string columns and `answer_outputs` for letter-word ones, which
+by default ask `membership` once per query. `GkatTeacher` and
+`MooreTeacher` walk the row's prefix once and each column from there, as
+long as their `membership` is the class's own function: a subclass
+override or a wrapper on the class (a logger, a counter, a tracer) gets
+every query. An observer may name the kinds it consumes in an `events`
+attribute (absent or None: all); query events, one per query, are made
+only for an observer of queries. Query counters tally raw queries, with
+no memoization across cells; an optional deduction mode of the guarded
+table fills cells that determinacy forces to zero without consulting the
+teacher.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .automata import (
     moore_difference,
     moore_difference_gs,
     run_gkat_prefix,
+    run_moore_prefix,
 )
 from .syntax import (
     GuardedString,
@@ -66,6 +70,16 @@ class Teacher:
         """None when the hypothesis matches, else a counterexample."""
         raise NotImplementedError
 
+    def answer_row(self, t: tuple, columns: List[GuardedString]) -> list:
+        """The membership bit of t joined to each guarded-string column."""
+        return [self.membership(join(t, e)) for e in columns]
+
+    def answer_outputs(self, t: tuple, columns: List[tuple], atoms) -> list:
+        """The output row of t + e for each letter-word column e: one bit
+        per atom of `atoms`, every atom of the tests in canonical order."""
+        singles = [GuardedString((a,), ()) for a in atoms]
+        return [tuple(self.answer_row(t + e, singles)) for e in columns]
+
 
 class GkatTeacher(Teacher):
     """Teacher for the language of a guarded automaton.
@@ -82,6 +96,17 @@ class GkatTeacher(Teacher):
     def membership(self, w: GuardedString) -> int:
         return accepts_gkat(self.target, self.target.initial, w)
 
+    _own_membership = membership
+
+    def answer_row(self, t: tuple, columns: List[GuardedString]) -> list:
+        aut = self.target
+        if getattr(self.membership, "__func__", None) is not GkatTeacher._own_membership:
+            return super().answer_row(t, columns)
+        if t and t[0][0].tests != aut.tests.tests:
+            raise ValueError("word atoms use different tests")
+        x = run_gkat_prefix(aut, aut.initial, t)
+        return [0 if x is None else accepts_gkat(aut, x, e) for e in columns]
+
     def equivalence(self, hypothesis: GkatAutomaton) -> Optional[GuardedString]:
         return moore_difference_gs(hypothesis, self.target)
 
@@ -96,17 +121,38 @@ class MooreTeacher(Teacher):
     def membership(self, w: GuardedString) -> int:
         return accepts_moore(self.target, self.target.initial, w)
 
+    _own_membership = membership
+
+    def answer_outputs(self, t: tuple, columns: List[tuple], atoms) -> list:
+        aut = self.target
+        if getattr(self.membership, "__func__", None) is not MooreTeacher._own_membership:
+            return super().answer_outputs(t, columns, atoms)
+        if (t[0][0] if t else atoms[0]).tests != aut.tests.tests:
+            raise ValueError("word atoms use different tests")
+        x = run_moore_prefix(aut, aut.initial, t)
+        return [aut.outputs[run_moore_prefix(aut, x, e)] for e in columns]
+
     def equivalence(self, hypothesis: MooreAutomaton):
         return moore_difference(hypothesis, self.target)
+
+
+class _Observed(Teacher):
+    """Asks a table's teacher one query at a time and emits each."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def membership(self, w: GuardedString) -> int:
+        bit = self.table.teacher.membership(w)
+        self.table._emit("query", (w, bit))
+        return bit
 
 
 # ===== Event formatting =====
 
 
 def _payload_str(value) -> str:
-    if isinstance(value, GuardedString):
-        return str(value)
-    return word_to_str(value)
+    return str(value) if isinstance(value, GuardedString) else word_to_str(value)
 
 
 def format_event(kind: str, payload) -> str:
@@ -156,6 +202,7 @@ class ObservationTable:
         self.teacher = teacher
         self.stats = stats
         self.on_event = on_event
+        self.events = getattr(on_event, "events", None)
         self.atoms = atoms(tests)
         self.letters = [(a, p) for a in self.atoms for p in self.actions]
         self.S = [()]
@@ -165,27 +212,21 @@ class ObservationTable:
         self.cells: Dict[tuple, list] = {}
         self._emit("columns", tuple(self.E))
 
+    def _wants(self, kind) -> bool:
+        return self.on_event is not None and (self.events is None or kind in self.events)
+
     def _emit(self, kind, payload):
-        if self.on_event is not None:
+        if self._wants(kind):
             self.on_event(kind, payload, self)
 
-    def _query(self, w: GuardedString) -> int:
-        """Ask the teacher one membership query, counted and traced."""
-        bit = self.teacher.membership(w)
-        self.stats.membership_queries += 1
-        self._emit("query", (w, bit))
-        return bit
+    def _asker(self) -> Teacher:
+        # made per use: a stored one would tie the table into a reference cycle
+        return _Observed(self) if self._wants("query") else self.teacher
 
     def all_rows(self) -> list:
-        rows = list(self.S)
-        seen = set(self._s_set)
-        for s in self.S:
-            for letter in self.letters:
-                t = s + (letter,)
-                if t not in seen:
-                    seen.add(t)
-                    rows.append(t)
-        return rows
+        """The upper rows, then the fringe rows not already upper."""
+        fringe = [s + (letter,) for s in self.S for letter in self.letters]
+        return list(dict.fromkeys(self.S + fringe))
 
     def row(self, t) -> tuple:
         return tuple(self.cells[t])
@@ -199,9 +240,7 @@ class ObservationTable:
 
     def unclosed_row(self):
         upper = {self.row(s) for s in self.S}
-        for t in self.all_rows():
-            if t in self._s_set:
-                continue
+        for t in self.all_rows()[len(self.S):]:
             r = self.row(t)
             if self._needs_match(r) and r not in upper:
                 return t
@@ -214,11 +253,9 @@ class ObservationTable:
         self.fill()
 
     def close(self):
-        while True:
-            t = self.unclosed_row()
-            if t is None:
-                return self
+        while (t := self.unclosed_row()) is not None:
             self.promote(t)
+        return self
 
     def add_counterexample(self, z):
         for e in self._suffixes(z):
@@ -232,12 +269,9 @@ class ObservationTable:
         """State number of each upper row's contents; state i is S[i]."""
         if self.unclosed_row() is not None:
             raise NotClosedError("table has an unmatched fringe row")
-        index = {}
-        for i, s in enumerate(self.S):
-            r = self.row(s)
-            if r in index:
-                raise InternalInconsistencyError("duplicate upper rows")
-            index[r] = i
+        index = {self.row(s): i for i, s in enumerate(self.S)}
+        if len(index) < len(self.S):
+            raise InternalInconsistencyError("duplicate upper rows")
         return index
 
     def _state(self, index: Dict[tuple, int], t) -> int:
@@ -318,7 +352,8 @@ class GlObservationTable(ObservationTable):
         if self.zero_fill and self._deducible_zero(t):
             self._zero_fill_row(t, columns)
         else:
-            self.cells[t] += [self._query(join(t, e)) for e in columns]
+            self.stats.membership_queries += len(columns)
+            self.cells[t] += self._asker().answer_row(t, columns)
 
     def apply_zero_fill(self):
         """Fill every missing cell whose value determinacy already forces,
@@ -382,13 +417,8 @@ class LStarObservationTable(ObservationTable):
         return "".join(str(b) for b in vec)
 
     def _fill_row(self, t: tuple, columns: List[tuple]):
-        for e in columns:
-            word = t + e
-            head = tuple(a for a, _ in word)
-            acts = tuple(p for _, p in word)
-            self.cells[t].append(tuple(
-                self._query(GuardedString(head + (atom,), acts)) for atom in self.atoms
-            ))
+        self.stats.membership_queries += len(columns) * len(self.atoms)
+        self.cells[t] += self._asker().answer_outputs(t, columns, self.atoms)
 
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""
@@ -440,17 +470,17 @@ def optimized_counterexample(
     state. The first disagreement found is the informative suffix; one
     always exists when z has at least one action.
     """
-    m = z.n_actions
-    if m == 0:
+    if z.n_actions == 0:
         return z
-    for k in range(m, 0, -1):
-        consumed = tuple(zip(z.atoms[: k - 1], z.actions[: k - 1]))
+    for k in range(z.n_actions, 0, -1):
+        consumed = zip(z.atoms[: k - 1], z.actions[: k - 1])
         state = run_gkat_prefix(hypothesis, hypothesis.initial, consumed)
         if state is None:
             continue
         tail = GuardedString(z.atoms[k - 1 :], z.actions[k - 1 :])
-        hyp_bit = accepts_gkat(hypothesis, state, tail)
-        if hyp_bit != table._query(join(table.S[state], tail)):
+        table.stats.membership_queries += 1
+        bit = table._asker().answer_row(table.S[state], [tail])[0]
+        if accepts_gkat(hypothesis, state, tail) != bit:
             return GuardedString(z.atoms[k:], z.actions[k:])
     raise InternalInconsistencyError("counterexample has no informative suffix")
 

@@ -307,10 +307,10 @@ class GuardedString:
 def join(word: tuple, tail: GuardedString) -> GuardedString:
     """Concatenate a letter word (a0, p1)(a1, p2)... and a guarded string;
     the tail's head atom follows the word's last action."""
-    return GuardedString(
-        tuple(a for a, _ in word) + tail.atoms,
-        tuple(p for _, p in word) + tail.actions,
-    )
+    if not word:
+        return tail
+    heads, acts = zip(*word)
+    return GuardedString(heads + tail.atoms, acts + tail.actions)
 
 
 def word_to_str(word: tuple) -> str:

@@ -1,8 +1,10 @@
 import csv
+import os
 import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -492,23 +494,44 @@ def test_events_are_formatted_only_for_a_trace(tmp_path, monkeypatch, capsys):
 
 def test_trace_changes_no_other_file(tmp_path):
     """learn writes the same DOT, table CSVs and stats rows with and without
-    --trace; the trace adds only the trace logs."""
-    base = ["learn", "--expr", WHILE_PROG, "--tests", "b", "--actions", "p,q",
-            "--algo", "both"]
-    assert main(base + ["--out-dir", str(tmp_path / "plain")]) == 0
-    assert main(base + ["--trace", "--out-dir", str(tmp_path / "traced")]) == 0
-    plain = sorted(f.name for f in (tmp_path / "plain").iterdir())
-    traced = sorted(f.name for f in (tmp_path / "traced").iterdir())
-    assert traced == sorted(plain + ["glstar_trace.log", "lstar_trace.log"])
-    for name in plain:
-        if name == "stats.csv":
-            continue
-        assert (tmp_path / "plain" / name).read_bytes() == (
-            tmp_path / "traced" / name
-        ).read_bytes(), name
-    assert drop_wall(read_csv(tmp_path / "plain" / "stats.csv")) == drop_wall(
-        read_csv(tmp_path / "traced" / "stats.csv")
-    )
+    --trace, in every learner mode; the trace adds only the trace logs.
+    Without --trace the teachers answer each table row in one walk."""
+    modes = [("b", []), ("b,c", ["--zero-fill"]), ("b,c", ["--cx", "optimized"]),
+             ("b,c", ["--zero-fill", "--cx", "optimized"])]
+    for i, (tests, extra) in enumerate(modes):
+        base = ["learn", "--expr", WHILE_PROG, "--tests", tests, "--actions", "p,q",
+                "--algo", "both"] + extra
+        plain, traced = tmp_path / ("plain%d" % i), tmp_path / ("traced%d" % i)
+        assert main(base + ["--out-dir", str(plain)]) == 0
+        assert main(base + ["--trace", "--out-dir", str(traced)]) == 0
+        names = sorted(f.name for f in plain.iterdir())
+        assert sorted(f.name for f in traced.iterdir()) == sorted(
+            names + ["glstar_trace.log", "lstar_trace.log"]
+        )
+        for name in names:
+            if name == "stats.csv":
+                assert drop_wall(read_csv(plain / name)) == drop_wall(
+                    read_csv(traced / name)
+                )
+            else:
+                assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
+
+
+def test_compare_validates_every_test_name(tmp_path, capsys):
+    rc = main(["compare", "--expr", "do p", "--tests", "b,1c", "--actions", "p",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: invalid test name: '1c'\n"
+    assert not (tmp_path / "compare.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "gkat", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gkat")
 
 
 def test_console_script_installed():

@@ -241,9 +241,14 @@ def test_hypothesis_reports_duplicate_upper_rows():
 
 
 class _ChaosTeacher(Teacher):
-    """Answers yes to every word; not a guarded language."""
+    """Answers yes to every word; not a guarded language. Defines only
+    `membership`, and keeps every word it is asked."""
+
+    def __init__(self):
+        self.asked = []
 
     def membership(self, w):
+        self.asked.append(w)
         return 1
 
     def equivalence(self, hypothesis):
@@ -352,6 +357,203 @@ def test_moore_teacher():
     assert teacher.membership(GuardedString((NEG, NEG), ("q",))) == 1
     assert teacher.equivalence(target) is None
 
+
+# ===== row answers =====
+
+def _rand_word(rng, ats, length):
+    return tuple((rng.choice(ats), rng.choice(ACTS)) for _ in range(length))
+
+
+def _rand_gs(rng, ats):
+    n = rng.randint(0, 3)
+    return GuardedString(
+        tuple(rng.choice(ats) for _ in range(n + 1)),
+        tuple(rng.choice(ACTS) for _ in range(n)),
+    )
+
+
+def _rand_moore(rng, tests, n):
+    from gkat import MooreAutomaton
+
+    width = 2 ** len(tests) * len(ACTS)
+    return MooreAutomaton(
+        tests, ACTS,
+        tuple(tuple(rng.randrange(n) for _ in range(width)) for _ in range(n)),
+        tuple(tuple(rng.randint(0, 1) for _ in range(2 ** len(tests)))
+              for _ in range(n)),
+        rng.randrange(n),
+    )
+
+
+def test_row_methods_equal_per_cell_membership():
+    """One walk per row gives the per-cell membership answers, for rows
+    whose prefix dies partway, rows that live, and the empty row."""
+    from gkat import run_gkat_prefix
+
+    rng = random.Random(61)
+    prefixes = {"dies partway": 0, "lives": 0}
+    for tests in (T1, TestSet(("b", "c"))):
+        ats = atoms(tests)
+        for _ in range(20):
+            target = rand_normal_automaton(rng, tests, ACTS, 5)
+            teacher = GkatTeacher(target)
+            moore = MooreTeacher(_rand_moore(rng, tests, rng.randint(1, 5)))
+            for _ in range(15):
+                t = _rand_word(rng, ats, rng.randint(0, 4))
+                columns = [_rand_gs(rng, ats) for _ in range(rng.randint(0, 4))]
+                assert teacher.answer_row(t, columns) == [
+                    teacher.membership(join(t, e)) for e in columns
+                ]
+                if run_gkat_prefix(target, target.initial, t) is not None:
+                    prefixes["lives"] += 1
+                elif run_gkat_prefix(target, target.initial, t[:1]) is not None:
+                    prefixes["dies partway"] += 1
+                words = [_rand_word(rng, ats, rng.randint(0, 3))
+                         for _ in range(rng.randint(0, 3))]
+                assert moore.answer_outputs(t, words, ats) == [
+                    tuple(moore.membership(GuardedString(
+                        tuple(a for a, _ in t + e) + (atom,),
+                        tuple(p for _, p in t + e),
+                    )) for atom in ats)
+                    for e in words
+                ]
+            assert teacher.answer_row((), []) == []
+            assert moore.answer_outputs((), [], ats) == []
+    assert prefixes["dies partway"] and prefixes["lives"]
+
+
+def test_row_methods_reject_foreign_atoms():
+    target = loop_target()
+    other = atoms(TestSet(("c",)))
+    with pytest.raises(ValueError):
+        GkatTeacher(target).answer_row(((other[0], "p"),), [GuardedString((NEG,), ())])
+    moore = MooreTeacher(minimize_moore(embed_moore(target)))
+    with pytest.raises(ValueError):
+        moore.answer_outputs((), [()], other)
+
+
+def test_membership_only_teacher_is_asked_once_per_cell():
+    for table_kind in (GlObservationTable, LStarObservationTable):
+        teacher = _ChaosTeacher()
+        stats = QueryStats()
+        table = table_kind(T1, ACTS, teacher, stats).fill()
+        table.close()
+        assert len(teacher.asked) == stats.membership_queries > 0
+    teacher = _ChaosTeacher()
+    table = GlObservationTable(T1, ACTS, teacher, QueryStats()).fill()
+    assert teacher.asked == [
+        join(t, e) for t in table.all_rows() for e in table.E
+    ]
+
+
+class _LoggingGkatTeacher(GkatTeacher):
+    def __init__(self, target):
+        super().__init__(target)
+        self.asked = 0
+
+    def membership(self, w):
+        self.asked += 1
+        return super().membership(w)
+
+
+class _LoggingMooreTeacher(MooreTeacher):
+    def __init__(self, target):
+        super().__init__(target)
+        self.asked = 0
+
+    def membership(self, w):
+        self.asked += 1
+        return super().membership(w)
+
+
+def test_membership_override_sees_every_query():
+    target = loop_target()
+    teacher = _LoggingGkatTeacher(target)
+    aut, stats = glstar(teacher, T1, ACTS)
+    assert aut.delta == TARGET_DELTA
+    assert teacher.asked == stats.membership_queries == 36
+    moore = _LoggingMooreTeacher(minimize_moore(embed_moore(target)))
+    _, stats = lstar_moore(moore, T1, ACTS)
+    assert moore.asked == stats.membership_queries == 78
+
+
+def test_wrapped_membership_counts_every_query(monkeypatch):
+    """A counting wrapper on the teachers' `membership` sees exactly the
+    queries the learners report."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(self, w):
+            calls.append(w)
+            return fn(self, w)
+        return wrapper
+
+    monkeypatch.setattr(GkatTeacher, "membership", counting(GkatTeacher.membership))
+    monkeypatch.setattr(MooreTeacher, "membership", counting(MooreTeacher.membership))
+    rng = random.Random(63)
+    tests = TestSet(("b", "c"))
+    for _ in range(5):
+        target = rand_normal_automaton(rng, tests, ACTS, 5)
+        for mode in ("suffix", "optimized"):
+            for deduce in (False, True):
+                del calls[:]
+                _, stats = glstar(GkatTeacher(target), tests, ACTS,
+                                  cx_mode=mode, zero_fill=deduce)
+                assert len(calls) == stats.membership_queries
+        del calls[:]
+        _, stats = lstar_moore(
+            MooreTeacher(minimize_moore(embed_moore(target))), tests, ACTS
+        )
+        assert len(calls) == stats.membership_queries > 0
+
+
+def test_observers_get_only_the_kinds_they_subscribe_to():
+    target = loop_target()
+    full, on_full = record_events()
+    glstar(GkatTeacher(target), T1, ACTS, on_event=on_full)
+    for events in (("hypothesis",), ("query", "equiv"), (), None):
+        log, on_event = record_events()
+        on_event.events = events
+        _, stats = glstar(GkatTeacher(target), T1, ACTS, on_event=on_event)
+        if events is None:
+            assert log == full
+            continue
+        assert log == [(kind, payload) for kind, payload in full if kind in events]
+        assert stats.membership_queries == 36
+    moore_target = minimize_moore(embed_moore(target))
+    full, on_full = record_events()
+    lstar_moore(MooreTeacher(moore_target), T1, ACTS, on_event=on_full)
+    log, on_event = record_events()
+    on_event.events = ("query",)
+    lstar_moore(MooreTeacher(moore_target), T1, ACTS, on_event=on_event)
+    assert log == [(kind, payload) for kind, payload in full if kind == "query"]
+    assert len(log) == 78
+
+
+
+def test_observed_tables_hold_no_reference_cycle():
+    """A finished table is freed at once, not at the next full collection,
+    also when an observer gets its query events."""
+    import gc
+    import weakref
+
+    target = loop_target()
+    moore_target = minimize_moore(embed_moore(target))
+    gc.disable()
+    try:
+        for make in (
+            lambda on: GlObservationTable(T1, ACTS, GkatTeacher(target), QueryStats(),
+                                          on_event=on),
+            lambda on: LStarObservationTable(T1, ACTS, MooreTeacher(moore_target),
+                                             QueryStats(), on_event=on),
+        ):
+            for on_event in (None, record_events()[1]):
+                table = make(on_event).fill()
+                ref = weakref.ref(table)
+                del table
+                assert ref() is None
+    finally:
+        gc.enable()
 
 # ===== invariants on random targets =====
 
