@@ -7,11 +7,10 @@ expressions by a product search over their guarded automata, unfolded into
 Moore machines one state at a time), and words (dump the bounded semantics).
 Each subparser sets `run` to its `cmd_<name>`, which takes the parsed
 arguments; `main` calls it inside one mapping of errors to exit codes.
-Learner events are observed only for the files written: `learn` keeps a
-table snapshot per hypothesis, so without --trace it subscribes only to
-`hypothesis` events and the teachers answer each table row in one walk;
-under --trace it subscribes to every kind and formats the trace lines.
-`compare` writes only compare.csv and observes nothing.
+Learner events are observed only for the files written: `learn` subscribes
+to `hypothesis` events for its table snapshots and, under --trace, to every
+kind for the trace lines; traced or not, the teachers are asked the same
+way. `compare` writes only compare.csv and observes nothing.
 Exit codes: 0 success or equivalent, 1 inequivalent, 2 bad input or an
 unwritable output directory, 3 capacity, 4 internal inconsistency.
 """

@@ -9,18 +9,18 @@ query, and only fringe rows holding a one need a matching upper row. The
 Moore table's columns are letter words, a cell is the word's output row,
 one query per atom, and every fringe row needs a matching upper row.
 
-A table asks for a row's missing cells in one call, `answer_row` for
-guarded-string columns and `answer_outputs` for letter-word ones, which
-by default ask `membership` once per query. `GkatTeacher` and
-`MooreTeacher` walk the row's prefix once and each column from there, as
-long as their `membership` is the class's own function: a subclass
-override or a wrapper on the class (a logger, a counter, a tracer) gets
-every query. An observer may name the kinds it consumes in an `events`
-attribute (absent or None: all); query events, one per query, are made
-only for an observer of queries. Query counters tally raw queries, with
-no memoization across cells; an optional deduction mode of the guarded
-table fills cells that determinacy forces to zero without consulting the
-teacher.
+Each table reaches its teacher in one method, `_ask`: one call answers a
+row's missing cells, `answer_row` for guarded-string columns and
+`answer_outputs` for letter-word ones, which by default ask `membership`
+once per query. `GkatTeacher` and `MooreTeacher` walk the row's prefix
+once and each column from there, as long as their `membership` is the
+class's own function: a subclass override or a wrapper on the class (a
+logger, a counter, a tracer) gets every query. Traced and untraced runs
+ask alike: an observer's `events` attribute (absent or None: all) only
+picks the events built, and query events come from the row's answers, in
+per-query order. Query counters tally raw queries, with no memoization
+across cells; an optional deduction mode of the guarded table fills cells
+that determinacy forces to zero without consulting the teacher.
 """
 from __future__ import annotations
 
@@ -136,18 +136,6 @@ class MooreTeacher(Teacher):
         return moore_difference(hypothesis, self.target)
 
 
-class _Observed(Teacher):
-    """Asks a table's teacher one query at a time and emits each."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def membership(self, w: GuardedString) -> int:
-        bit = self.table.teacher.membership(w)
-        self.table._emit("query", (w, bit))
-        return bit
-
-
 # ===== Event formatting =====
 
 
@@ -218,10 +206,6 @@ class ObservationTable:
     def _emit(self, kind, payload):
         if self._wants(kind):
             self.on_event(kind, payload, self)
-
-    def _asker(self) -> Teacher:
-        # made per use: a stored one would tie the table into a reference cycle
-        return _Observed(self) if self._wants("query") else self.teacher
 
     def all_rows(self) -> list:
         """The upper rows, then the fringe rows not already upper."""
@@ -346,14 +330,22 @@ class GlObservationTable(ObservationTable):
         self.deduced.update((t, e) for e in columns)
         self.stats.zero_filled += len(columns)
 
+    def _ask(self, t: tuple, columns: List[GuardedString]) -> list:
+        """The membership bit of t joined to each column, one query each."""
+        bits = self.teacher.answer_row(t, columns)
+        self.stats.membership_queries += len(columns)
+        if self._wants("query"):
+            for e, bit in zip(columns, bits):
+                self.on_event("query", (join(t, e), bit), self)
+        return bits
+
     def _fill_row(self, t: tuple, columns: List[GuardedString]):
         # Deducibility reads only the parent's and the siblings' cells, never
         # row t's own, so one answer holds while the row fills.
         if self.zero_fill and self._deducible_zero(t):
             self._zero_fill_row(t, columns)
         else:
-            self.stats.membership_queries += len(columns)
-            self.cells[t] += self._asker().answer_row(t, columns)
+            self.cells[t] += self._ask(t, columns)
 
     def apply_zero_fill(self):
         """Fill every missing cell whose value determinacy already forces,
@@ -416,9 +408,18 @@ class LStarObservationTable(ObservationTable):
     def _cell_str(vec: tuple) -> str:
         return "".join(str(b) for b in vec)
 
-    def _fill_row(self, t: tuple, columns: List[tuple]):
+    def _ask(self, t: tuple, columns: List[tuple]) -> list:
+        """The output row of t + e for each column e, one query per atom."""
+        outputs = self.teacher.answer_outputs(t, columns, self.atoms)
         self.stats.membership_queries += len(columns) * len(self.atoms)
-        self.cells[t] += self._asker().answer_outputs(t, columns, self.atoms)
+        if self._wants("query"):
+            for e, row in zip(columns, outputs):
+                for a, bit in zip(self.atoms, row):
+                    self.on_event("query", (join(t + e, GuardedString((a,), ())), bit), self)
+        return outputs
+
+    def _fill_row(self, t: tuple, columns: List[tuple]):
+        self.cells[t] += self._ask(t, columns)
 
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""
@@ -478,8 +479,7 @@ def optimized_counterexample(
         if state is None:
             continue
         tail = GuardedString(z.atoms[k - 1 :], z.actions[k - 1 :])
-        table.stats.membership_queries += 1
-        bit = table._asker().answer_row(table.S[state], [tail])[0]
+        bit = table._ask(table.S[state], [tail])[0]
         if accepts_gkat(hypothesis, state, tail) != bit:
             return GuardedString(z.atoms[k:], z.actions[k:])
     raise InternalInconsistencyError("counterexample has no informative suffix")

@@ -495,7 +495,8 @@ def test_events_are_formatted_only_for_a_trace(tmp_path, monkeypatch, capsys):
 def test_trace_changes_no_other_file(tmp_path):
     """learn writes the same DOT, table CSVs and stats rows with and without
     --trace, in every learner mode; the trace adds only the trace logs.
-    Without --trace the teachers answer each table row in one walk."""
+    Both modes ask the teachers the same way; the trace only subscribes
+    to more event kinds."""
     modes = [("b", []), ("b,c", ["--zero-fill"]), ("b,c", ["--cx", "optimized"]),
              ("b,c", ["--zero-fill", "--cx", "optimized"])]
     for i, (tests, extra) in enumerate(modes):

@@ -449,32 +449,94 @@ def test_membership_only_teacher_is_asked_once_per_cell():
 class _LoggingGkatTeacher(GkatTeacher):
     def __init__(self, target):
         super().__init__(target)
-        self.asked = 0
+        self.asked = []
 
     def membership(self, w):
-        self.asked += 1
+        self.asked.append(w)
         return super().membership(w)
 
 
 class _LoggingMooreTeacher(MooreTeacher):
     def __init__(self, target):
         super().__init__(target)
-        self.asked = 0
+        self.asked = []
 
     def membership(self, w):
-        self.asked += 1
+        self.asked.append(w)
         return super().membership(w)
 
 
+def _query_words(log) -> list:
+    return [payload[0] for kind, payload in log if kind == "query"]
+
+
 def test_membership_override_sees_every_query():
+    """A `membership` override is asked every query, one at a time, and an
+    observer gets the same events from that per-query path as from the
+    built-in teachers' row walks, its query events in the order asked."""
     target = loop_target()
     teacher = _LoggingGkatTeacher(target)
     aut, stats = glstar(teacher, T1, ACTS)
     assert aut.delta == TARGET_DELTA
-    assert teacher.asked == stats.membership_queries == 36
+    assert len(teacher.asked) == stats.membership_queries == 36
     moore = _LoggingMooreTeacher(minimize_moore(embed_moore(target)))
     _, stats = lstar_moore(moore, T1, ACTS)
-    assert moore.asked == stats.membership_queries == 78
+    assert len(moore.asked) == stats.membership_queries == 78
+    rng = random.Random(67)
+    tests = TestSet(("b", "c"))
+    for _ in range(5):
+        target = rand_normal_automaton(rng, tests, ACTS, 5)
+        for mode in ("suffix", "optimized"):
+            for deduce in (False, True):
+                logs = []
+                for make in (GkatTeacher, _LoggingGkatTeacher):
+                    log, on_event = record_events()
+                    teacher = make(target)
+                    glstar(teacher, tests, ACTS, cx_mode=mode, zero_fill=deduce,
+                           on_event=on_event)
+                    logs.append(log)
+                assert logs[0] == logs[1]
+                assert teacher.asked and teacher.asked == _query_words(logs[1])
+        moore_target = minimize_moore(embed_moore(target))
+        logs = []
+        for make in (MooreTeacher, _LoggingMooreTeacher):
+            log, on_event = record_events()
+            moore = make(moore_target)
+            lstar_moore(moore, tests, ACTS, on_event=on_event)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert moore.asked and moore.asked == _query_words(logs[1])
+
+
+def test_builtin_teachers_never_take_the_per_cell_path(monkeypatch):
+    """Under an observer of every kind, `GkatTeacher` and `MooreTeacher`
+    still answer each row in one walk: the base row methods, which ask
+    `membership` once per query, are never reached."""
+    calls = []
+
+    def spy(fn):
+        def wrapper(self, *args):
+            calls.append(fn.__name__)
+            return fn(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Teacher, "answer_row", spy(Teacher.answer_row))
+    monkeypatch.setattr(Teacher, "answer_outputs", spy(Teacher.answer_outputs))
+    target = loop_target()
+    for mode in ("suffix", "optimized"):
+        for deduce in (False, True):
+            log, on_event = record_events()
+            aut, stats = glstar(GkatTeacher(target), T1, ACTS, cx_mode=mode,
+                                zero_fill=deduce, on_event=on_event)
+            assert aut.delta == TARGET_DELTA
+            assert stats.membership_queries == len(_query_words(log))
+            if (mode, deduce) == ("suffix", False):
+                assert stats.membership_queries == 36
+    log, on_event = record_events()
+    _, stats = lstar_moore(MooreTeacher(minimize_moore(embed_moore(target))), T1, ACTS,
+                           on_event=on_event)
+    assert stats.membership_queries == len(_query_words(log)) == 78
+    assert calls == []
 
 
 def test_wrapped_membership_counts_every_query(monkeypatch):
