@@ -38,6 +38,7 @@ from .syntax import (
     is_bexp,
     join,
     kat_to_str,
+    letters,
     parse_bexp,
     parse_exp,
     suffixes_gs,

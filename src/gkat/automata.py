@@ -2,9 +2,9 @@
 
 A guarded automaton maps each state and atom to one of: accept (1),
 reject (0), or a step (action, next state). A Moore machine reads
-(atom, action) letters and outputs, per state, one bit per atom.
-Both carry their test and action declarations so words can be checked
-against them.
+(atom, action) letters, numbered by `letters`, and outputs, per state,
+one bit per atom. Both carry their test and action declarations so
+words can be checked against them.
 
 Includes acceptance runs, reachability with shortest witnesses,
 normalization, bisimilarity and similarity checks, minimization for both
@@ -20,13 +20,14 @@ a guarded state's label is its accept bits (a step reads 0), its
 successors one target per (atom, action) letter, and `None` stands for
 the implicit sink where the state does not step; `embed_moore` is built
 from it. Three routines work on these views: `_bfs` (forward
-reachability) for `reachable`, `moore_reachable` and the minimizations;
-`_refine` (partition refinement from the label partition) for `minimize`,
-`minimize_moore` and the observability check of `isomorphic`; and `_pairs`
-(a pair search that stops at the first pair whose labels differ) for
-`bisimilar`, `isomorphic` and `moore_isomorphic` on `_split`, and for the
-difference searches on `_unfold`, which accept either machine kind on
-either side.
+reachability) for `reachable` (on `_unfold`), `moore_reachable` and the
+minimizations; `_refine` (partition refinement from the label partition)
+for `minimize`, `minimize_moore` and the observability check of
+`isomorphic`; and `_pairs` (a pair search that stops at the first pair
+whose labels differ) for `bisimilar`, `isomorphic` and `moore_isomorphic`
+on `_split`, and for the difference searches on `_unfold`, which accept
+either machine kind on either side. `_word` reads both searches' links
+on `_unfold` back as letter words.
 `similar` walks its own pairs: simulation is one-sided (an accept must
 be matched, a reject need not be), so it is not equality of labels, but
 the automata are deterministic, so one walk over the pairs reachable
@@ -36,15 +37,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .errors import NotNormalError
 from .syntax import (
     Atom,
     GuardedString,
     TestSet,
+    _check_declared,
     atoms,
     join,
+    letters,
 )
 
 Trans = Union[int, Tuple[str, int]]
@@ -93,8 +96,8 @@ class GkatAutomaton:
 
 @dataclass(frozen=True)
 class MooreAutomaton:
-    """delta[state][letter] with letter = atom.bits * len(actions) + action
-    index; outputs[state][atom.bits] is the acceptance bit."""
+    """delta[state][i] reads letter i of `letters(tests, actions)`;
+    outputs[state][atom.bits] is the acceptance bit."""
 
     tests: TestSet
     actions: Tuple[str, ...]
@@ -121,13 +124,6 @@ class MooreAutomaton:
     def n_states(self) -> int:
         return len(self.delta)
 
-    def letters(self) -> List[Tuple[Atom, str]]:
-        """All (atom, action) letters in canonical order."""
-        return [(a, p) for a in atoms(self.tests) for p in self.actions]
-
-    def letter_index(self, atom: Atom, action: str) -> int:
-        return atom.bits * len(self.actions) + self.actions.index(action)
-
 
 # ===== Acceptance =====
 
@@ -137,22 +133,39 @@ def _check_state(aut, x):
         raise ValueError("state %r out of range" % (x,))
 
 
+def _check_word(aut, *heads, actions=()):
+    """Reject words whose first atoms `heads` use other tests than aut, or
+    `actions` aut does not declare; a walk passes the action of the step
+    that fails it."""
+    for atom in heads:
+        if atom.tests != aut.tests.tests:
+            raise ValueError("word atoms use different tests")
+    if actions:
+        _check_declared(actions, aut.actions)
+
+
 def accepts_gkat(aut: GkatAutomaton, state: int, w: GuardedString) -> int:
     """Run w from the given state; 1 iff the word is accepted."""
-    if w.atoms[0].tests != aut.tests.tests:
-        raise ValueError("word atoms use different tests")
+    _check_word(aut, w.atoms[0])
+    return _accepts_gkat(aut, state, w)
+
+
+def _accepts_gkat(aut: GkatAutomaton, state: int, w: GuardedString) -> int:
+    """`accepts_gkat` without checking the tests of w's atoms."""
     x = run_gkat_prefix(aut, state, zip(w.atoms, w.actions))
     return 0 if x is None else int(aut.delta[x][w.last_atom.bits] == 1)
 
 
 def run_gkat_prefix(aut: GkatAutomaton, state: int, word) -> Optional[int]:
     """Follow a letter word of (atom, action) pairs; None when some step is
-    missing or mislabeled."""
+    missing or mislabeled, ValueError when its action is undeclared."""
     _check_state(aut, state)
     x = state
     for atom, p in word:
         entry = aut.delta[x][atom.bits]
         if not isinstance(entry, tuple) or entry[0] != p:
+            if p not in aut.actions:
+                _check_word(aut, actions=(p,))
             return None
         x = entry[1]
     return x
@@ -160,19 +173,23 @@ def run_gkat_prefix(aut: GkatAutomaton, state: int, word) -> Optional[int]:
 
 def accepts_moore(aut: MooreAutomaton, state: int, w: GuardedString) -> int:
     """Follow w's letters, then read the output bit at its last atom."""
-    if w.atoms[0].tests != aut.tests.tests:
-        raise ValueError("word atoms use different tests")
+    _check_word(aut, w.atoms[0])
     x = run_moore_prefix(aut, state, zip(w.atoms, w.actions))
     return aut.outputs[x][w.last_atom.bits]
 
 
 def run_moore_prefix(aut: MooreAutomaton, state: int, word) -> int:
-    """Follow a letter word of (atom, action) pairs through a Moore machine."""
+    """Follow a letter word of (atom, action) pairs through a Moore machine;
+    ValueError on an undeclared action."""
     _check_state(aut, state)
     x = state
     k = len(aut.actions)
     for atom, p in word:
-        x = aut.delta[x][atom.bits * k + aut.actions.index(p)]
+        try:
+            j = aut.actions.index(p)
+        except ValueError:
+            _check_word(aut, actions=(p,))
+        x = aut.delta[x][atom.bits * k + j]
     return x
 
 
@@ -297,6 +314,30 @@ def _pairs(split_a, split_b, start, limit=None):
 # ===== Reachability and normalization =====
 
 
+def _word(pred, node, alphabet) -> Tuple[Tuple[Atom, str], ...]:
+    """The letter word along the links of a search on `_unfold` from its
+    start to node; successor i reads alphabet[i]."""
+    word = []
+    while pred[node] is not None:
+        node, i = pred[node]
+        word.append(alphabet[i])
+    return tuple(reversed(word))
+
+
+def _quotient(aut, reps, block):
+    """The machine of either kind whose state i is reps[i], each target y
+    renumbered block[y]."""
+    if isinstance(aut, MooreAutomaton):
+        delta = tuple(tuple(block[y] for y in aut.delta[x]) for x in reps)
+        outputs = tuple(aut.outputs[x] for x in reps)
+        return MooreAutomaton(aut.tests, aut.actions, delta, outputs, block[aut.initial])
+    delta = tuple(
+        tuple((e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
+        for x in reps
+    )
+    return GkatAutomaton(aut.tests, aut.actions, delta, block[aut.initial])
+
+
 def reachable(aut: GkatAutomaton):
     """Restrict to states reachable from the initial one.
 
@@ -304,18 +345,12 @@ def reachable(aut: GkatAutomaton):
     discovery order) and, per new state, a shortest letter word of
     (atom, action) pairs reaching it.
     """
-    pred = _bfs(_split(aut), aut.initial)
-    index = {x: i for i, x in enumerate(pred)}
-    ats = atoms(aut.tests)
-    witness = {aut.initial: ()}
-    for y, (x, i) in list(pred.items())[1:]:
-        bits, p = [(b, e[0]) for b, e in enumerate(aut.delta[x]) if isinstance(e, tuple)][i]
-        witness[y] = witness[x] + ((ats[bits], p),)
-    delta = tuple(
-        tuple((e[0], index[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
-        for x in pred
-    )
-    return GkatAutomaton(aut.tests, aut.actions, delta, 0), tuple(witness.values())
+    pred = _bfs(_unfold(aut), aut.initial)
+    pred.pop(None, None)
+    order = list(pred)
+    alphabet = letters(aut.tests, aut.actions)
+    witnesses = tuple(_word(pred, x, alphabet) for x in order)
+    return _quotient(aut, order, {x: i for i, x in enumerate(order)}), witnesses
 
 
 def _live_states(aut: GkatAutomaton):
@@ -416,11 +451,7 @@ def minimize(aut: GkatAutomaton) -> GkatAutomaton:
         raise NotNormalError("minimize needs a normal automaton")
     split = _split(aut)
     block, reps = _refine(split, list(_bfs(split, aut.initial)))
-    delta = tuple(
-        tuple((e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
-        for x in reps
-    )
-    return GkatAutomaton(aut.tests, aut.actions, delta, block[aut.initial])
+    return _quotient(aut, reps, block)
 
 
 def _isomorphism(a, b, name, observable):
@@ -479,19 +510,14 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
 def moore_reachable(aut: MooreAutomaton) -> MooreAutomaton:
     """Restrict to reachable states, renumbered in discovery order."""
     order = list(_bfs(_split(aut), aut.initial))
-    index = {x: i for i, x in enumerate(order)}
-    delta = tuple(tuple(index[y] for y in aut.delta[x]) for x in order)
-    outputs = tuple(aut.outputs[x] for x in order)
-    return MooreAutomaton(aut.tests, aut.actions, delta, outputs, 0)
+    return _quotient(aut, order, {x: i for i, x in enumerate(order)})
 
 
 def minimize_moore(aut: MooreAutomaton) -> MooreAutomaton:
     """Standard Moore machine minimization, deterministic state order."""
     split = _split(aut)
     block, reps = _refine(split, list(_bfs(split, aut.initial)))
-    delta = tuple(tuple(block[y] for y in aut.delta[x]) for x in reps)
-    outputs = tuple(aut.outputs[x] for x in reps)
-    return MooreAutomaton(aut.tests, aut.actions, delta, outputs, block[aut.initial])
+    return _quotient(aut, reps, block)
 
 
 def moore_isomorphic(
@@ -511,14 +537,9 @@ def _difference(a, b, start):
     if pair is None:
         return None
     label_a, label_b = unfold_a(pair[0])[0], unfold_b(pair[1])[0]
-    ats, word = atoms(a.tests), []
-    while pred[pair] is not None:
-        pair, i = pred[pair]
-        bits, j = divmod(i, len(a.actions))
-        word.append((ats[bits], a.actions[j]))
-    word = tuple(reversed(word))
+    word = _word(pred, pair, letters(a.tests, a.actions))
     bits = next(i for i, bit in enumerate(label_a) if bit != label_b[i])
-    return word, join(word, GuardedString((ats[bits],), ()))
+    return word, join(word, GuardedString((Atom(a.tests.tests, bits),), ()))
 
 
 def moore_difference(
@@ -548,51 +569,45 @@ def _dot_quote(s: str) -> str:
     return '"' + s + '"'
 
 
+def _dot(name: str, initial: int, nodes, edges) -> str:
+    """Graphviz text in which state x is labelled nodes[x] and each edge
+    (x, y, label) is an arrow."""
+    lines = ["digraph %s {" % name, "  rankdir=LR;", "  node [shape=circle];"]
+    lines.append("  init [shape=point];")
+    lines += ["  s%d [label=%s];" % (x, _dot_quote(label)) for x, label in enumerate(nodes)]
+    lines.append("  init -> s%d;" % initial)
+    lines += ["  s%d -> s%d [label=%s];" % (x, y, _dot_quote(label)) for x, y, label in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def gkat_dot(aut: GkatAutomaton, name: str = "gkat") -> str:
     """Graphviz rendering; accepting atoms are listed inside the node."""
     ats = atoms(aut.tests)
-    lines = ["digraph %s {" % name, "  rankdir=LR;", "  node [shape=circle];"]
-    lines.append("  init [shape=point];")
-    for x in range(aut.n_states):
-        accepted = [
-            "%s | 1" % ats[bits]
-            for bits in range(len(ats))
-            if aut.delta[x][bits] == 1
-        ]
-        label = "x%d" % x
-        if accepted:
-            label += "\n" + "\n".join(accepted)
-        lines.append("  s%d [label=%s];" % (x, _dot_quote(label)))
-    lines.append("  init -> s%d;" % aut.initial)
-    for x in range(aut.n_states):
-        for bits in range(len(ats)):
-            entry = aut.delta[x][bits]
-            if isinstance(entry, tuple):
-                label = "%s | %s" % (ats[bits], entry[0])
-                lines.append(
-                    "  s%d -> s%d [label=%s];" % (x, entry[1], _dot_quote(label))
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [
+        "\n".join(["x%d" % x] + ["%s | 1" % a for a, e in zip(ats, row) if e == 1])
+        for x, row in enumerate(aut.delta)
+    ]
+    edges = [
+        (x, e[1], "%s | %s" % (a, e[0]))
+        for x, row in enumerate(aut.delta)
+        for a, e in zip(ats, row)
+        if isinstance(e, tuple)
+    ]
+    return _dot(name, aut.initial, nodes, edges)
 
 
 def moore_dot(aut: MooreAutomaton, name: str = "moore") -> str:
     """Graphviz rendering; node labels carry the per-atom output bits."""
     ats = atoms(aut.tests)
-    lines = ["digraph %s {" % name, "  rankdir=LR;", "  node [shape=circle];"]
-    lines.append("  init [shape=point];")
-    for x in range(aut.n_states):
-        vector = " + ".join(
-            "%d%s" % (aut.outputs[x][bits], ats[bits]) for bits in range(len(ats))
-        )
-        label = "x%d\n%s" % (x, vector)
-        lines.append("  s%d [label=%s];" % (x, _dot_quote(label)))
-    lines.append("  init -> s%d;" % aut.initial)
-    for x in range(aut.n_states):
-        for bits in range(len(ats)):
-            for j, p in enumerate(aut.actions):
-                y = aut.delta[x][bits * len(aut.actions) + j]
-                label = "%s%s" % (ats[bits], p)
-                lines.append("  s%d -> s%d [label=%s];" % (x, y, _dot_quote(label)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [
+        "x%d\n%s" % (x, " + ".join("%d%s" % (bit, a) for bit, a in zip(row, ats)))
+        for x, row in enumerate(aut.outputs)
+    ]
+    alphabet = letters(aut.tests, aut.actions)
+    edges = [
+        (x, y, "%s%s" % letter)
+        for x, row in enumerate(aut.delta)
+        for y, letter in zip(row, alphabet)
+    ]
+    return _dot(name, aut.initial, nodes, edges)

@@ -46,6 +46,7 @@ from .syntax import (
     is_bexp,
     kplus,
     kseq,
+    letters,
 )
 
 STATE_LIMIT = 100_000
@@ -162,6 +163,24 @@ class _Residuals:
         return d
 
 
+def _numbering(start, max_states: int, what: str):
+    """State 0 is start; number(s) numbers and queues s when it is new,
+    and raises CapacityError past max_states. Returns (number, queue)."""
+    index = {start: 0}
+    queue = deque([start])
+
+    def number(s) -> int:
+        i = index.get(s)
+        if i is None:
+            if len(index) >= max_states:
+                raise CapacityError("more than %d %s" % (max_states, what))
+            i = index[s] = len(index)
+            queue.append(s)
+        return i
+
+    return number, queue
+
+
 def gkat_automaton(
     e: Exp,
     tests: TestSet,
@@ -172,27 +191,14 @@ def gkat_automaton(
     _check_actions(e, actions)
     ats = atoms(tests)
     residuals = _Residuals()
-    start = residuals.fold(e, 0)
-    index = {start: 0}
-    queue = deque([start])
+    number, queue = _numbering(residuals.fold(e, 0), max_states, "residuals")
     delta = []
     while queue:
         cur = queue.popleft()
         row = []
         for atom in ats:
             d = residuals.step(cur, atom)
-            if isinstance(d, tuple):
-                p, residual = d
-                if residual not in index:
-                    if len(index) >= max_states:
-                        raise CapacityError(
-                            "more than %d residuals" % max_states
-                        )
-                    index[residual] = len(index)
-                    queue.append(residual)
-                row.append((p, index[residual]))
-            else:
-                row.append(d)
+            row.append((d[0], number(d[1])) if isinstance(d, tuple) else d)
         delta.append(tuple(row))
     return GkatAutomaton(tests, tuple(actions), tuple(delta), 0)
 
@@ -249,30 +255,15 @@ def kat_moore_automaton(
     """The derivative Moore machine of a KAT term; state 0 is k itself."""
     _check_actions(k, actions)
     ats = atoms(tests)
-    actions = tuple(actions)
-    states = [k]
-    index = {k: 0}
-    queue = deque([k])
+    alphabet = letters(tests, actions)
+    number, queue = _numbering(k, max_states, "derivatives")
     delta = []
     outputs = []
     while queue:
         cur = queue.popleft()
-        row = []
-        out = []
-        for atom in ats:
-            out.append(_kat_eps(cur, atom))
-            for p in actions:
-                d = _kat_deriv(cur, atom, p)
-                if d not in index:
-                    if len(states) >= max_states:
-                        raise CapacityError("more than %d derivatives" % max_states)
-                    index[d] = len(states)
-                    states.append(d)
-                    queue.append(d)
-                row.append(index[d])
-        delta.append(tuple(row))
-        outputs.append(tuple(out))
-    return MooreAutomaton(tests, actions, tuple(delta), tuple(outputs), 0)
+        outputs.append(tuple(_kat_eps(cur, atom) for atom in ats))
+        delta.append(tuple(number(_kat_deriv(cur, atom, p)) for atom, p in alphabet))
+    return MooreAutomaton(tests, tuple(actions), tuple(delta), tuple(outputs), 0)
 
 
 # ===== Hand-built examples =====

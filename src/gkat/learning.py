@@ -31,6 +31,8 @@ from .errors import InternalInconsistencyError, NotClosedError
 from .automata import (
     GkatAutomaton,
     MooreAutomaton,
+    _accepts_gkat,
+    _check_word,
     accepts_gkat,
     accepts_moore,
     moore_difference,
@@ -43,6 +45,7 @@ from .syntax import (
     TestSet,
     atoms,
     join,
+    letters,
     suffixes_gs,
     suffixes_word,
     word_to_str,
@@ -102,10 +105,13 @@ class GkatTeacher(Teacher):
         aut = self.target
         if getattr(self.membership, "__func__", None) is not GkatTeacher._own_membership:
             return super().answer_row(t, columns)
-        if t and t[0][0].tests != aut.tests.tests:
-            raise ValueError("word atoms use different tests")
+        if t:
+            _check_word(aut, t[0][0])
         x = run_gkat_prefix(aut, aut.initial, t)
-        return [0 if x is None else accepts_gkat(aut, x, e) for e in columns]
+        if x is None:
+            return [0] * len(columns)
+        _check_word(aut, *[e.atoms[0] for e in columns])
+        return [_accepts_gkat(aut, x, e) for e in columns]
 
     def equivalence(self, hypothesis: GkatAutomaton) -> Optional[GuardedString]:
         return moore_difference_gs(hypothesis, self.target)
@@ -127,8 +133,11 @@ class MooreTeacher(Teacher):
         aut = self.target
         if getattr(self.membership, "__func__", None) is not MooreTeacher._own_membership:
             return super().answer_outputs(t, columns, atoms)
-        if (t[0][0] if t else atoms[0]).tests != aut.tests.tests:
-            raise ValueError("word atoms use different tests")
+        # as `membership` does, check the first atom of each word t + e + (a,)
+        if t:
+            _check_word(aut, t[0][0])
+        else:
+            _check_word(aut, atoms[0], *[e[0][0] for e in columns if e])
         x = run_moore_prefix(aut, aut.initial, t)
         return [aut.outputs[run_moore_prefix(aut, x, e)] for e in columns]
 
@@ -192,7 +201,7 @@ class ObservationTable:
         self.on_event = on_event
         self.events = getattr(on_event, "events", None)
         self.atoms = atoms(tests)
-        self.letters = [(a, p) for a in self.atoms for p in self.actions]
+        self.letters = letters(tests, self.actions)
         self.S = [()]
         self._s_set = {()}
         self.E = self._first_columns()
@@ -325,11 +334,6 @@ class GlObservationTable(ObservationTable):
             if q != action
         )
 
-    def _zero_fill_row(self, t: tuple, columns: List[GuardedString]):
-        self.cells.setdefault(t, []).extend([0] * len(columns))
-        self.deduced.update((t, e) for e in columns)
-        self.stats.zero_filled += len(columns)
-
     def _ask(self, t: tuple, columns: List[GuardedString]) -> list:
         """The membership bit of t joined to each column, one query each."""
         bits = self.teacher.answer_row(t, columns)
@@ -343,18 +347,11 @@ class GlObservationTable(ObservationTable):
         # Deducibility reads only the parent's and the siblings' cells, never
         # row t's own, so one answer holds while the row fills.
         if self.zero_fill and self._deducible_zero(t):
-            self._zero_fill_row(t, columns)
+            self.cells[t] += [0] * len(columns)
+            self.deduced.update((t, e) for e in columns)
+            self.stats.zero_filled += len(columns)
         else:
             self.cells[t] += self._ask(t, columns)
-
-    def apply_zero_fill(self):
-        """Fill every missing cell whose value determinacy already forces,
-        without consulting the teacher."""
-        for t in self.all_rows():
-            have = len(self.cells.get(t, ()))
-            if have < len(self.E) and self._deducible_zero(t):
-                self._zero_fill_row(t, self.E[have:])
-        return self
 
     def hypothesis(self) -> GkatAutomaton:
         """Read off the automaton; state i is the row of S[i].

@@ -3,8 +3,8 @@
 Boolean guards, program expressions, atoms (truth assignments over the
 declared tests), guarded strings with fusion, letter words (tuples of
 (atom, action) pairs, the dangling prefixes of guarded strings) with
-`join` and `word_to_str`, the imperative concrete syntax parser, pretty
-printers, and the embedding into plain Kleene algebra with tests terms.
+`letters`, `join` and `word_to_str`, the imperative concrete syntax
+parser, pretty printers, and the embedding into plain KAT terms.
 
 Expression, guard and KAT term nodes are immutable, and each node's hash
 is fixed at construction from its children's stored hashes. Hashing a
@@ -196,7 +196,12 @@ def _check_actions(e, actions) -> None:
             stack += x.parts
         elif isinstance(x, KStar):
             stack.append(x.arg)
-    missing = used - set(actions)
+    _check_declared(used, actions)
+
+
+def _check_declared(used, actions) -> None:
+    """Reject the names in `used` that `actions` does not declare."""
+    missing = set(used).difference(actions)
     if missing:
         raise ValueError("undeclared actions: %s" % ", ".join(sorted(missing)))
 
@@ -251,6 +256,12 @@ def atoms(tests: TestSet, limit: int = ATOM_LIMIT) -> List[Atom]:
     if count > limit:
         raise CapacityError("2^%d atoms exceed the limit of %d" % (n, limit))
     return [Atom(tests.tests, bits) for bits in range(count)]
+
+
+def letters(tests: TestSet, actions: Tuple[str, ...]) -> List[Tuple[Atom, str]]:
+    """All (atom, action) letters in canonical order, atoms outermost; the
+    letter at index i is Moore letter i."""
+    return [(a, p) for a in atoms(tests) for p in actions]
 
 
 def atom_satisfies(atom: Atom, b: BExp) -> int:

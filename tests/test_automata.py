@@ -7,8 +7,10 @@ import pytest
 
 from gkat import (
     GkatAutomaton,
+    GkatTeacher,
     GuardedString,
     MooreAutomaton,
+    MooreTeacher,
     NotNormalError,
     TestSet,
     accepts_gkat,
@@ -19,6 +21,7 @@ from gkat import (
     gkat_dot,
     is_normal,
     isomorphic,
+    letters,
     minimize,
     minimize_moore,
     moore_difference,
@@ -98,14 +101,14 @@ def test_moore_validation():
 
 
 def test_letters_canonical_order():
-    m = expected_moore()
-    assert [(str(a), p) for a, p in m.letters()] == [
+    alphabet = letters(T1, ACTS)
+    assert [(str(a), p) for a, p in alphabet] == [
         ("b̄", "p"),
         ("b̄", "q"),
         ("b", "p"),
         ("b", "q"),
     ]
-    assert m.letter_index(POS, "q") == 3
+    assert alphabet.index((POS, "q")) == 3
 
 
 # ===== runs =====
@@ -125,6 +128,41 @@ def test_accepts_rejects_foreign_atoms():
     other = atoms(TestSet(("c",)))
     with pytest.raises(ValueError):
         accepts_gkat(f, 0, _gs((other[0],), ()))
+
+
+def test_gkat_words_with_undeclared_actions_raise():
+    """A walk that reaches an undeclared action raises, on the per-query
+    path and on the row path, instead of answering 0."""
+    f = fixture()
+    teacher = GkatTeacher(f)
+    bad = _gs((NEG, NEG), ("r",))
+    after_a_step = _gs((POS, NEG, NEG), ("p", "r"))
+    calls = [
+        lambda: accepts_gkat(f, 0, bad),
+        lambda: accepts_gkat(f, 0, after_a_step),
+        lambda: teacher.membership(bad),
+        lambda: teacher.answer_row((), [bad]),
+        lambda: teacher.answer_row(((POS, "p"),), [bad]),
+        lambda: teacher.answer_row(((NEG, "r"),), [_gs((NEG,), ())]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="undeclared actions: r"):
+            call()
+    assert teacher.answer_row(((POS, "q"),), [_gs((NEG,), ())]) == [0]
+
+
+def test_moore_words_with_undeclared_actions_raise():
+    m = embed_moore(fixture())
+    teacher = MooreTeacher(m)
+    calls = [
+        lambda: accepts_moore(m, 0, _gs((NEG, NEG), ("r",))),
+        lambda: teacher.membership(_gs((POS, NEG, NEG), ("p", "r"))),
+        lambda: teacher.answer_outputs(((NEG, "r"),), [()], [NEG, POS]),
+        lambda: teacher.answer_outputs((), [((POS, "p"), (NEG, "r"))], [NEG, POS]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="undeclared actions: r"):
+            call()
 
 
 def test_run_gkat_prefix():
@@ -174,6 +212,32 @@ def test_reachable_discovery_order_and_witnesses():
     # breadth-first over atoms in order: b̄ edge found before b edge
     assert [word_to_str(w) for w in witnesses] == ["ε", "b̄q", "bp"]
     assert accepts_gkat(out, 0, _gs((POS, NEG, POS), ("p", "q"))) == 1
+
+
+def test_witnesses_and_difference_words_decode_letters():
+    """Letter words rebuilt from search links: each reachable witness leads
+    to its renumbered state, and each difference word, completed by its
+    separating atom, is accepted by exactly one of the two machines."""
+    rng = random.Random(23)
+    for tests in (T1, TestSet(("b", "c"))):
+        for _ in range(100):
+            a = rand_automaton(rng, tests, ACTS, 6)
+            out, witnesses = reachable(a)
+            assert len(witnesses) == out.n_states
+            for i, w in enumerate(witnesses):
+                assert run_gkat_prefix(out, 0, w) == i
+            b = rand_automaton(rng, tests, ACTS, 6)
+            for x, y in [(a, b), (a, embed_moore(b)), (embed_moore(a), embed_moore(b))]:
+                word, gs = moore_difference(x, y), moore_difference_gs(x, y)
+                if gs is None:
+                    assert word is None
+                    continue
+                assert tuple(zip(gs.atoms, gs.actions)) == word
+                bits = [
+                    (accepts_gkat if isinstance(m, GkatAutomaton) else accepts_moore)(m, m.initial, gs)
+                    for m in (x, y)
+                ]
+                assert sorted(bits) == [0, 1]
 
 
 def test_normalize_rewrites_dead_steps():

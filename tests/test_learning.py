@@ -211,19 +211,6 @@ def test_zero_fill_audit():
         assert teacher.membership(join(t, e)) == 0
 
 
-def test_apply_zero_fill_on_plain_table():
-    target = loop_target()
-    teacher = GkatTeacher(target)
-    stats = QueryStats()
-    table = GlObservationTable(T1, ACTS, teacher, stats)
-    table.fill()
-    table.close()
-    filled = {t: list(cells) for t, cells in table.cells.items()}
-    table.apply_zero_fill()
-    # already-filled cells never flip, and no new key appears post fill
-    assert table.cells == filled
-
-
 def test_glstar_rejects_unknown_mode():
     with pytest.raises(ValueError):
         glstar(GkatTeacher(loop_target()), T1, ACTS, cx_mode="fancy")
@@ -430,6 +417,8 @@ def test_row_methods_reject_foreign_atoms():
     moore = MooreTeacher(minimize_moore(embed_moore(target)))
     with pytest.raises(ValueError):
         moore.answer_outputs((), [()], other)
+    with pytest.raises(ValueError, match="different tests"):
+        moore.answer_outputs((), [((other[0], "p"),)], atoms(T1))
 
 
 def test_membership_only_teacher_is_asked_once_per_cell():
