@@ -21,13 +21,14 @@ successors one target per (atom, action) letter, and `None` stands for
 the implicit sink where the state does not step; `embed_moore` is built
 from it. Three routines work on these views: `_bfs` (forward
 reachability) for `reachable` (on `_unfold`), `moore_reachable` and the
-minimizations; `_refine` (partition refinement from the label partition)
-for `minimize`, `minimize_moore` and the observability check of
-`isomorphic`; and `_pairs` (a pair search that stops at the first pair
-whose labels differ) for `bisimilar`, `isomorphic` and `moore_isomorphic`
-on `_split`, and for the difference searches on `_unfold`, which accept
-either machine kind on either side. `_word` reads both searches' links
-on `_unfold` back as letter words.
+minimizations; `_refine` (partition refinement from the label partition,
+whose rounds after the first re-key only the predecessors of states that
+changed block) for `minimize`, `minimize_moore` and the observability
+check of `isomorphic`; and `_pairs` (a pair search that stops at the
+first pair whose labels differ) for `bisimilar`, `isomorphic` and
+`moore_isomorphic` on `_split`, and for the difference searches on
+`_unfold`, which accept either machine kind on either side. `_word`
+reads both searches' links on `_unfold` back as letter words.
 `similar` walks its own pairs: simulation is one-sided (an accept must
 be matched, a reject need not be), so it is not equality of labels, but
 the automata are deterministic, so one walk over the pairs reachable
@@ -262,27 +263,71 @@ def _bfs(split, start):
 def _refine(split, states):
     """Bisimilarity classes of `states`, a list closed under successors.
 
-    Starts from the label partition and splits blocks by the blocks of
-    their successors until nothing changes. Returns the block of each
-    state, blocks numbered by first occurrence in `states`, and the first
-    state of each block.
+    The first round keys every state by its label block and the label
+    blocks of its successors; it ends the refinement if it splits no block
+    or leaves every state alone. Each later round re-keys only the
+    predecessors of states that changed block in the round before (all
+    states, after the first): a block's untouched members share one
+    signature, and the largest part of a split block keeps its number
+    (Hopcroft's rule), so a state changes block O(log n) times. Returns
+    the block of each state, blocks numbered by first occurrence in
+    `states`, and the first state of each block.
     """
     rows = [split(x) for x in states]
     keys = {}
     block = {x: keys.setdefault(label, len(keys)) for x, (label, _) in zip(states, rows)}
-    while True:
-        n_blocks = len(keys)
+    n_labels = len(keys)
+    keys = {}
+    block = {
+        x: keys.setdefault((block[x], tuple(map(block.__getitem__, succ))), len(keys))
+        for x, (_, succ) in zip(states, rows)
+    }
+    if n_labels < len(keys) < len(states):
+        pred, members, rows = {x: [] for x in states}, {}, dict(zip(states, rows))
+        for x, (_, ys) in rows.items():
+            members.setdefault(block[x], set()).add(x)
+            for y in ys:
+                pred[y].append(x)
+        members = {b: xs for b, xs in members.items() if len(xs) > 1}
+        moved, fresh = states, len(keys)
+
+        def sig(x):
+            return tuple(map(block.__getitem__, rows[x][1]))
+
+        while moved:
+            touched = {x for y in moved for x in pred[y] if block[x] in members}
+            by_block = {}
+            for x in touched:
+                by_block.setdefault(block[x], []).append(x)
+            moves = {}
+            for b, xs in by_block.items():
+                mem, groups = members[b], {}
+                for x in xs:
+                    groups.setdefault(sig(x), []).append(x)
+                size = {s: len(g) for s, g in groups.items()}
+                rest = len(mem) - len(xs)
+                if rest:
+                    ref = sig(next(x for x in mem if x not in touched))
+                    size[ref] = size.get(ref, 0) + rest
+                keep = max(size, key=size.get)
+                for s in size.keys() - {keep}:
+                    part = groups.get(s, [])
+                    if rest and s == ref:
+                        part = part + [x for x in mem if x not in touched]
+                    mem.difference_update(part)
+                    if len(part) > 1:
+                        members[fresh] = set(part)
+                    moves.update(dict.fromkeys(part, fresh))
+                    fresh += 1
+            block.update(moves)
+            moved = moves
         keys = {}
-        block = {
-            x: keys.setdefault((block[x], tuple(map(block.__getitem__, succ))), len(keys))
-            for x, (_, succ) in zip(states, rows)
-        }
-        if len(keys) == n_blocks:
-            reps = []
-            for x in states:
-                if block[x] == len(reps):
-                    reps.append(x)
-            return block, reps
+        block = {x: keys.setdefault(block[x], len(keys)) for x in states}
+    reps = []
+    for x in states:
+        if block[x] == len(reps):
+            reps.append(x)
+    return block, reps
 
 
 def _pairs(split_a, split_b, start, limit=None):

@@ -191,3 +191,29 @@ def similar_fixpoint(a: GkatAutomaton, b: GkatAutomaton) -> List[List[bool]]:
                         changed = True
                         break
     return rel
+
+
+def refine_rounds(split, states):
+    """Bisimilarity classes of `states`, a list closed under successors.
+
+    Starts from the label partition and splits blocks by the blocks of
+    their successors until nothing changes. Returns the block of each
+    state, blocks numbered by first occurrence in `states`, and the first
+    state of each block.
+    """
+    rows = [split(x) for x in states]
+    keys = {}
+    block = {x: keys.setdefault(label, len(keys)) for x, (label, _) in zip(states, rows)}
+    while True:
+        n_blocks = len(keys)
+        keys = {}
+        block = {
+            x: keys.setdefault((block[x], tuple(map(block.__getitem__, succ))), len(keys))
+            for x, (_, succ) in zip(states, rows)
+        }
+        if len(keys) == n_blocks:
+            reps = []
+            for x in states:
+                if block[x] == len(reps):
+                    reps.append(x)
+            return block, reps

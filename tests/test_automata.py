@@ -16,6 +16,7 @@ from gkat import (
     accepts_gkat,
     accepts_moore,
     atoms,
+    automata,
     bisimilar,
     embed_moore,
     gkat_dot,
@@ -41,6 +42,7 @@ from helpers import (
     mutant,
     rand_automaton,
     rand_normal_automaton,
+    refine_rounds,
     renumbered,
     similar_fixpoint,
 )
@@ -364,6 +366,98 @@ def test_minimize_empty_language():
     result = minimize(aut)
     assert result.n_states == 1
     assert result.delta == ((0, 0),)
+
+
+def _chain(n):
+    """One action, n states in a row; only the last one accepts."""
+    delta = tuple((("p", i + 1),) for i in range(n - 1)) + ((1,),)
+    return GkatAutomaton(TestSet(()), ("p",), delta, 0)
+
+
+def _twin_chain(tests, half, cross):
+    """Two bisimilar copies of a chain of `half` states; on atoms whose bits
+    are not a multiple of `cross` each state steps into the other copy."""
+    width = 2 ** len(tests)
+    delta = []
+    for copy in (0, 1):
+        for i in range(half - 1):
+            delta.append(tuple(
+                ("p", (copy if bits % cross == 0 else 1 - copy) * half + i + 1)
+                for bits in range(width)
+            ))
+        delta.append((1,) * width)
+    return GkatAutomaton(tests, ACTS, tuple(delta), 0)
+
+
+def _accept_chain(tests, n, drop_last):
+    """A chain that accepts on every third atom and steps on the rest; with
+    drop_last its last state rejects atom 1."""
+    width = 2 ** len(tests)
+    delta = [
+        tuple(1 if bits % 3 == 0 else ("p", i + 1) for bits in range(width))
+        for i in range(n - 1)
+    ]
+    delta.append(tuple(0 if drop_last and bits == 1 else 1 for bits in range(width)))
+    return GkatAutomaton(tests, ACTS, tuple(delta), 0)
+
+
+def _moore_outputs_from(rng, tests, n, n_rows):
+    """A random Moore machine whose outputs come from `n_rows` rows: one
+    row puts every state in one label block, many make the labels almost
+    discrete."""
+    rows = [tuple(rng.randrange(2) for _ in atoms(tests)) for _ in range(n_rows)]
+    width = 2 ** len(tests) * len(ACTS)
+    delta = tuple(tuple(rng.randrange(n) for _ in range(width)) for _ in range(n))
+    return MooreAutomaton(tests, ACTS, delta, tuple(rng.choice(rows) for _ in range(n)), 0)
+
+
+def test_refine_matches_round_loop():
+    """Worklist refinement gives the blocks and representatives of the
+    round-by-round loop, from every start state, on random automata (raw,
+    normal, and their Moore embeddings), on Moore machines whose labels
+    form one block or are almost discrete, and on chains that need one
+    round per state."""
+    rng = random.Random(1414)
+    machines = []
+    for trial in range(150):
+        tests = TestSet(("b", "c")[: trial % 3])
+        raw = rand_automaton(rng, tests, ACTS[: 1 + trial % 2], 12)
+        machines += [raw, normalize(raw), embed_moore(raw), embed_moore(normalize(raw))]
+        machines.append(_moore_outputs_from(rng, tests, rng.randint(1, 16), 1 + trial % 16))
+    for half in range(1, 13):
+        for tests, cross in ((TestSet(()), 1), (T1, 2), (TestSet(("b", "c")), 3)):
+            twin = _twin_chain(tests, half, cross)
+            machines += [twin, embed_moore(twin)]
+        for drop_last in (False, True):
+            machines.append(_accept_chain(TestSet(("b", "c")), half, drop_last))
+        machines.append(_chain(half))
+    multi_round = 0  # inputs that the first round does not settle
+    for m in machines:
+        split = automata._split(m)
+        for start in range(m.n_states):
+            states = list(automata._bfs(split, start))
+            block, reps = refine_rounds(split, states)
+            assert automata._refine(split, states) == (block, reps), (m, start)
+            labels = {split(x)[0] for x in states}
+            first = {(split(x)[0], tuple(split(y)[0] for y in split(x)[1])) for x in states}
+            multi_round += len(labels) < len(first) < len(reps)
+    assert multi_round > 1000
+
+
+def test_minimize_long_chains():
+    """Chains that need one refinement round per state minimize at scale,
+    and isomorphic maps a minimized chain onto a renumbered copy."""
+    chain = minimize(_chain(4000))
+    assert chain.n_states == 4000
+    assert minimize(_twin_chain(T1, 2000, 2)).n_states == 2000
+    copy = renumbered(random.Random(8), chain)
+    verdict, mapping = isomorphic(chain, copy)
+    assert verdict == 1
+    assert mapping[chain.initial] == copy.initial
+    for x, y in mapping.items():
+        assert [e if e == 1 else (e[0], mapping[e[1]]) for e in chain.delta[x]] == list(
+            copy.delta[y]
+        )
 
 
 def test_isomorphic_handles_permutation():
