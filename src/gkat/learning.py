@@ -16,11 +16,11 @@ once per query. `GkatTeacher` and `MooreTeacher` walk the row's prefix
 once and each column from there, as long as their `membership` is the
 class's own function: a subclass override or a wrapper on the class (a
 logger, a counter, a tracer) gets every query. Traced and untraced runs
-ask alike: an observer's `events` attribute (absent or None: all) only
-picks the events built, and query events come from the row's answers, in
-per-query order. Query counters tally raw queries, with no memoization
-across cells; an optional deduction mode of the guarded table fills cells
-that determinacy forces to zero without consulting the teacher.
+ask alike: an observer's `events` (absent or None: all but `answers`) only
+picks the events built. An ask is one `answers` event (prefix, tails, bits),
+bit i answering join(prefix, tails[i]), or a `query` event (word, bit) per
+query. Query counters tally raw queries, with no memoization across cells;
+an optional guarded-table mode fills forced-zero cells without a query.
 """
 from __future__ import annotations
 
@@ -153,10 +153,15 @@ def _payload_str(value) -> str:
 
 
 def format_event(kind: str, payload) -> str:
-    """One trace line per learner event."""
+    """One trace line per learner event; an `answers` event gives one QUERY
+    line per tail, joined by newlines, with the prefix rendered once."""
     if kind == "query":
         w, bit = payload
         return "QUERY %s → %d" % (w, bit)
+    if kind == "answers":
+        prefix, tails, bits = payload
+        head = "QUERY " + "".join([str(a) + p for a, p in prefix])
+        return "\n".join(["%s%s → %d" % (head, e, bit) for e, bit in zip(tails, bits)])
     if kind == "promote":
         return "PROMOTE %s" % _payload_str(payload)
     if kind == "columns":
@@ -201,6 +206,7 @@ class ObservationTable:
         self.on_event = on_event
         self.events = getattr(on_event, "events", None)
         self.atoms = atoms(tests)
+        self.singles = [GuardedString((a,), ()) for a in self.atoms]
         self.letters = letters(tests, self.actions)
         self.S = [()]
         self._s_set = {()}
@@ -215,6 +221,14 @@ class ObservationTable:
     def _emit(self, kind, payload):
         if self._wants(kind):
             self.on_event(kind, payload, self)
+
+    def _report(self, prefix: tuple, tails: list, bits):
+        """Emit an ask, bit i answering join(prefix, tails[i]): whole, or per query."""
+        if tails and self.events is not None:
+            self._emit("answers", (prefix, tails, bits))
+        if self._wants("query"):
+            for e, bit in zip(tails, bits):
+                self.on_event("query", (join(prefix, e), bit), self)
 
     def all_rows(self) -> list:
         """The upper rows, then the fringe rows not already upper."""
@@ -310,7 +324,7 @@ class GlObservationTable(ObservationTable):
         super().__init__(tests, actions, teacher, stats, on_event)
 
     def _first_columns(self) -> List[GuardedString]:
-        return [GuardedString((a,), ()) for a in self.atoms]
+        return list(self.singles)
 
     _suffixes = staticmethod(suffixes_gs)
     _needs_match = staticmethod(any)
@@ -338,9 +352,8 @@ class GlObservationTable(ObservationTable):
         """The membership bit of t joined to each column, one query each."""
         bits = self.teacher.answer_row(t, columns)
         self.stats.membership_queries += len(columns)
-        if self._wants("query"):
-            for e, bit in zip(columns, bits):
-                self.on_event("query", (join(t, e), bit), self)
+        if self.on_event is not None:
+            self._report(t, columns, bits)
         return bits
 
     def _fill_row(self, t: tuple, columns: List[GuardedString]):
@@ -403,16 +416,15 @@ class LStarObservationTable(ObservationTable):
 
     @staticmethod
     def _cell_str(vec: tuple) -> str:
-        return "".join(str(b) for b in vec)
+        return "%d" * len(vec) % vec
 
     def _ask(self, t: tuple, columns: List[tuple]) -> list:
         """The output row of t + e for each column e, one query per atom."""
         outputs = self.teacher.answer_outputs(t, columns, self.atoms)
         self.stats.membership_queries += len(columns) * len(self.atoms)
-        if self._wants("query"):
+        if self.on_event is not None:
             for e, row in zip(columns, outputs):
-                for a, bit in zip(self.atoms, row):
-                    self.on_event("query", (join(t + e, GuardedString((a,), ())), bit), self)
+                self._report(t + e, self.singles, row)
         return outputs
 
     def _fill_row(self, t: tuple, columns: List[tuple]):

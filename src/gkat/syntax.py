@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
@@ -308,11 +308,13 @@ class GuardedString:
         return self.atoms[-1]
 
     def __str__(self):
-        out = [str(self.atoms[0])]
-        for p, a in zip(self.actions, self.atoms[1:]):
-            out.append(p)
-            out.append(str(a))
-        return "".join(out)
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The printed string; cached, since a trace prints each column per row."""
+        rest = "".join([p + str(a) for p, a in zip(self.actions, self.atoms[1:])])
+        return str(self.atoms[0]) + rest
 
 
 def join(word: tuple, tail: GuardedString) -> GuardedString:

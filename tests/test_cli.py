@@ -21,6 +21,7 @@ from gkat import (
     normalize,
 )
 import gkat.cli
+import gkat.learning
 from gkat.cli import CSV_COLUMNS, main
 from gkat.syntax import MACRON
 from helpers import mutant, rand_bexp, rand_exp, rand_normal_automaton
@@ -490,6 +491,26 @@ def test_events_are_formatted_only_for_a_trace(tmp_path, monkeypatch, capsys):
     assert main(["compare"] + base + ["--sweep", "2"]) == 0
     assert main(["learn"] + base + ["--algo", "both"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_trace_builds_no_query_word(tmp_path, monkeypatch, capsys):
+    """With the built-in teachers, a traced learn renders each ask's QUERY
+    lines from its row and columns: it never joins a per-query guarded
+    string, and its trace files match a run that could."""
+    argv = ["learn", "--expr", WHILE_PROG, "--tests", "b,c", "--actions", "p,q",
+            "--algo", "both", "--trace", "--zero-fill", "--cx", "optimized"]
+    assert main(argv + ["--out-dir", str(tmp_path / "joined")]) == 0
+
+    def refuse(word, tail):
+        raise AssertionError("joined %s" % (tail,))
+
+    monkeypatch.setattr(gkat.learning, "join", refuse)
+    assert main(argv + ["--out-dir", str(tmp_path / "rows")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("glstar_trace.log", "lstar_trace.log"):
+        assert (tmp_path / "rows" / name).read_bytes() == (
+            tmp_path / "joined" / name
+        ).read_bytes(), name
 
 
 def test_trace_changes_no_other_file(tmp_path):

@@ -32,6 +32,7 @@ from gkat import (
     parse_exp,
     word_to_str,
 )
+from gkat.cli import TRACED_KINDS
 from helpers import rand_normal_automaton
 
 T1 = TestSet(("b",))
@@ -558,10 +559,17 @@ def test_wrapped_membership_counts_every_query(monkeypatch):
         assert len(calls) == stats.membership_queries > 0
 
 
+def _query_lines(log) -> list:
+    """The QUERY lines of a log, one per query, with `answers` events split."""
+    lines = "\n".join(lines_of(log)).split("\n")
+    return [line for line in lines if line.startswith("QUERY ")]
+
+
 def test_observers_get_only_the_kinds_they_subscribe_to():
     target = loop_target()
     full, on_full = record_events()
     glstar(GkatTeacher(target), T1, ACTS, on_event=on_full)
+    assert "answers" not in {kind for kind, _ in full}
     for events in (("hypothesis",), ("query", "equiv"), (), None):
         log, on_event = record_events()
         on_event.events = events
@@ -579,7 +587,30 @@ def test_observers_get_only_the_kinds_they_subscribe_to():
     lstar_moore(MooreTeacher(moore_target), T1, ACTS, on_event=on_event)
     assert log == [(kind, payload) for kind, payload in full if kind == "query"]
     assert len(log) == 78
-
+    assert "answers" not in {kind for kind, _ in full}
+    # `answers` alone: one event per teacher ask, never an empty one, whose
+    # lines are exactly the full log's QUERY lines
+    runs = [
+        lambda on, mode=mode, deduce=deduce: glstar(
+            GkatTeacher(target), T1, ACTS, cx_mode=mode, zero_fill=deduce, on_event=on
+        )
+        for mode in ("suffix", "optimized") for deduce in (False, True)
+    ]
+    runs.append(lambda on: lstar_moore(MooreTeacher(moore_target), T1, ACTS, on_event=on))
+    for run in runs:
+        full, on_full = record_events()
+        run(on_full)
+        log, on_event = record_events()
+        on_event.events = ("answers",)
+        _, stats = run(on_event)
+        assert {kind for kind, _ in log} == {"answers"}
+        assert all(tails for _, (prefix, tails, bits) in log)
+        assert _query_lines(log) == _query_lines(full)
+        assert len(_query_lines(log)) == stats.membership_queries
+    log, on_event = record_events()
+    on_event.events = ("answers",)
+    table = GlObservationTable(T1, ACTS, GkatTeacher(target), QueryStats(), on_event=on_event)
+    assert table._ask((), []) == [] and log == []
 
 
 def test_observed_tables_hold_no_reference_cycle():
@@ -702,9 +733,10 @@ def test_lstar_learns_random_targets():
 
 # ===== artifact digest =====
 
-def _learner_artifacts(rng, tests, n_targets, max_states):
+def _learner_artifacts(rng, tests, n_targets, max_states, events=None):
     """Every text artifact of both learners on a seeded corpus: trace lines,
-    table snapshots at each hypothesis, DOT of the result, query stats."""
+    table snapshots at each hypothesis, DOT of the result, query stats.
+    The observer subscribes to `events` (None: every per-query kind)."""
     out = []
 
     def on_event(kind, payload, table):
@@ -712,6 +744,8 @@ def _learner_artifacts(rng, tests, n_targets, max_states):
         if kind == "hypothesis":
             header, body = table.snapshot()
             out.extend(",".join(row) for row in [header] + body)
+
+    on_event.events = events
 
     def finish(dot, stats):
         out.append(dot)
@@ -734,12 +768,25 @@ def _learner_artifacts(rng, tests, n_targets, max_states):
     return out
 
 
+LEARNER_ARTIFACTS_SHA256 = (
+    "31b7f5026c1ebc6910f84698364d4fb245ebe3794ad8c62516e26101feeadd52"
+)
+
+
+def _learner_artifacts_digest(events=None) -> str:
+    rng = random.Random(2204)
+    lines = _learner_artifacts(rng, T1, 30, 6, events)
+    lines += _learner_artifacts(rng, TestSet(("b", "c")), 10, 5, events)
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def test_learner_artifacts_unchanged():
     """Trace text, table snapshots and learned machines stay byte-identical."""
-    rng = random.Random(2204)
-    lines = _learner_artifacts(rng, T1, 30, 6)
-    lines += _learner_artifacts(rng, TestSet(("b", "c")), 10, 5)
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == (
-        "31b7f5026c1ebc6910f84698364d4fb245ebe3794ad8c62516e26101feeadd52"
-    )
+    assert _learner_artifacts_digest() == LEARNER_ARTIFACTS_SHA256
+
+
+def test_learner_artifacts_unchanged_under_the_traced_kinds():
+    """The kinds `gkat learn --trace` subscribes to, with one `answers` event
+    per teacher ask in place of the `query` events, give the same text."""
+    assert "answers" in TRACED_KINDS and "query" not in TRACED_KINDS
+    assert _learner_artifacts_digest(TRACED_KINDS) == LEARNER_ARTIFACTS_SHA256
