@@ -93,17 +93,17 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
         target = normalize(gkat_automaton(e, tests, actions))
         aut, stats = glstar(GkatTeacher(target), tests, actions, cx_mode=args.cx,
                             zero_fill=args.zero_fill, on_event=observe)
-        dot = gkat_dot(aut)
+        to_dot = gkat_dot
     elif algo == "lstar":
         target = kat_moore_automaton(embed_kat(e), tests, actions)
         aut, stats = lstar_moore(MooreTeacher(target), tests, actions, on_event=observe)
-        dot = moore_dot(aut)
+        to_dot = moore_dot
     else:
         raise ValueError("unknown algorithm: %r" % (algo,))
     wall_ms = int(round((time.perf_counter() - start) * 1000))
 
     if out_dir is not None:
-        (out_dir / ("%s.dot" % algo)).write_text(dot, encoding="utf-8")
+        (out_dir / ("%s.dot" % algo)).write_text(to_dot(aut), encoding="utf-8")
         for i, (header, body) in enumerate(tables, 1):
             _write_csv(out_dir / ("%s_table_%d.csv" % (algo, i)), header, body)
         if args.trace:

@@ -19,8 +19,10 @@ logger, a counter, a tracer) gets every query. Traced and untraced runs
 ask alike: an observer's `events` (absent or None: all but `answers`) only
 picks the events built. An ask is one `answers` event (prefix, tails, bits),
 bit i answering join(prefix, tails[i]), or a `query` event (word, bit) per
-query. Query counters tally raw queries, with no memoization across cells;
-an optional guarded-table mode fills forced-zero cells without a query.
+query. A guarded ask's tails are its columns, a Moore ask's e·a for each of
+its columns e and each atom a. Query counters tally raw queries, with no
+memoization across cells; an optional guarded-table mode fills forced-zero
+cells without a query.
 """
 from __future__ import annotations
 
@@ -161,7 +163,8 @@ def format_event(kind: str, payload) -> str:
     if kind == "answers":
         prefix, tails, bits = payload
         head = "QUERY " + "".join([str(a) + p for a, p in prefix])
-        return "\n".join(["%s%s → %d" % (head, e, bit) for e, bit in zip(tails, bits)])
+        ends = (" → 0", " → 1")
+        return "\n".join([head + e._text + ends[bit] for e, bit in zip(tails, bits)])
     if kind == "promote":
         return "PROMOTE %s" % _payload_str(payload)
     if kind == "columns":
@@ -206,13 +209,15 @@ class ObservationTable:
         self.on_event = on_event
         self.events = getattr(on_event, "events", None)
         self.atoms = atoms(tests)
-        self.singles = [GuardedString((a,), ()) for a in self.atoms]
         self.letters = letters(tests, self.actions)
         self.S = [()]
         self._s_set = {()}
         self.E = self._first_columns()
         self._e_set = set(self.E)
         self.cells: Dict[tuple, list] = {}
+        self._rows = None
+        self._rendered: Dict[tuple, list] = {}
+        self._tails: List[GuardedString] = []  # a Moore table's, see its _ask
         self._emit("columns", tuple(self.E))
 
     def _wants(self, kind) -> bool:
@@ -231,9 +236,12 @@ class ObservationTable:
                 self.on_event("query", (join(prefix, e), bit), self)
 
     def all_rows(self) -> list:
-        """The upper rows, then the fringe rows not already upper."""
-        fringe = [s + (letter,) for s in self.S for letter in self.letters]
-        return list(dict.fromkeys(self.S + fringe))
+        """The upper rows, then the fringe rows not already upper. The list
+        is kept until the next `promote`; callers must not change it."""
+        if self._rows is None:
+            fringe = [s + (letter,) for s in self.S for letter in self.letters]
+            self._rows = list(dict.fromkeys(self.S + fringe))
+        return self._rows
 
     def row(self, t) -> tuple:
         return tuple(self.cells[t])
@@ -256,6 +264,7 @@ class ObservationTable:
     def promote(self, t):
         self.S.append(t)
         self._s_set.add(t)
+        self._rows = None
         self._emit("promote", t)
         self.fill()
 
@@ -288,13 +297,16 @@ class ObservationTable:
         return index[r]
 
     def snapshot(self):
-        """Header and rows for external dumps."""
+        """Header and rows for external dumps. Each row's label and cells are
+        rendered once and kept, since cells never change once written."""
         header = ["row"] + [_payload_str(e) for e in self.E]
         body = []
         for t in self.all_rows():
-            label = _payload_str(t) + (" *" if t in self._s_set else "")
-            cells = [self._cell_str(v) for v in self.cells.get(t, ())]
-            body.append([label] + cells + [""] * (len(self.E) - len(cells)))
+            text = self._rendered.get(t) or self._rendered.setdefault(t, [_payload_str(t)])
+            cells = self.cells.get(t, ())
+            text += map(self._cell_str, cells[len(text) - 1:])
+            label = text[0] + " *" if t in self._s_set else text[0]
+            body.append([label] + text[1:] + [""] * (len(self.E) - len(cells)))
         return header, body
 
 
@@ -324,7 +336,7 @@ class GlObservationTable(ObservationTable):
         super().__init__(tests, actions, teacher, stats, on_event)
 
     def _first_columns(self) -> List[GuardedString]:
-        return list(self.singles)
+        return [GuardedString((a,), ()) for a in self.atoms]
 
     _suffixes = staticmethod(suffixes_gs)
     _needs_match = staticmethod(any)
@@ -419,12 +431,18 @@ class LStarObservationTable(ObservationTable):
         return "%d" * len(vec) % vec
 
     def _ask(self, t: tuple, columns: List[tuple]) -> list:
-        """The output row of t + e for each column e, one query per atom."""
+        """The output row of t + e for each column e, one query per atom.
+        The columns are the last ones of E; `_tails` holds each column's
+        tails e·a, built once."""
         outputs = self.teacher.answer_outputs(t, columns, self.atoms)
-        self.stats.membership_queries += len(columns) * len(self.atoms)
+        n = len(self.atoms)
+        self.stats.membership_queries += len(columns) * n
         if self.on_event is not None:
-            for e, row in zip(columns, outputs):
-                self._report(t + e, self.singles, row)
+            for e in self.E[len(self._tails) // n:]:
+                heads, acts = zip(*e) if e else ((), ())
+                self._tails += [GuardedString(heads + (a,), acts) for a in self.atoms]
+            bits = [bit for row in outputs for bit in row]
+            self._report(t, self._tails[(len(self.E) - len(columns)) * n:], bits)
         return outputs
 
     def _fill_row(self, t: tuple, columns: List[tuple]):

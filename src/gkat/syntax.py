@@ -214,11 +214,17 @@ class Atom:
     """One truth assignment over an ordered test tuple.
 
     Bit i of `bits` (counted from the most significant, i.e. tests[0])
-    records whether tests[i] holds.
+    records whether tests[i] holds. The hash is taken once, at construction.
     """
 
     tests: Tuple[str, ...]
     bits: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.tests, self.bits)))
+
+    __hash__ = _stored_hash
 
     def value(self, name: str) -> bool:
         if name not in self.tests:

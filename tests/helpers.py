@@ -20,6 +20,7 @@ from gkat import (
     accepts_gkat,
     atoms,
     normalize,
+    word_to_str,
 )
 
 
@@ -217,3 +218,27 @@ def refine_rounds(split, states):
                 if block[x] == len(reps):
                     reps.append(x)
             return block, reps
+
+
+def all_rows_from_scratch(table) -> list:
+    """The rows of an observation table, built afresh: the upper rows, then
+    the fringe rows not already upper."""
+    fringe = [s + (letter,) for s in table.S for letter in table.letters]
+    return list(dict.fromkeys(table.S + fringe))
+
+
+def snapshot_from_scratch(table):
+    """The header and rows of `table.snapshot()`, every label and cell
+    rendered afresh; upper rows are marked ` *`, cells not yet filled are
+    empty."""
+
+    def text(value):
+        return str(value) if isinstance(value, GuardedString) else word_to_str(value)
+
+    header = ["row"] + [text(e) for e in table.E]
+    body = []
+    for t in all_rows_from_scratch(table):
+        label = text(t) + (" *" if t in table.S else "")
+        cells = [table._cell_str(v) for v in table.cells.get(t, ())]
+        body.append([label] + cells + [""] * (len(table.E) - len(cells)))
+    return header, body

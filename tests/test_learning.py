@@ -33,7 +33,8 @@ from gkat import (
     word_to_str,
 )
 from gkat.cli import TRACED_KINDS
-from helpers import rand_normal_automaton
+from gkat.learning import ObservationTable
+from helpers import all_rows_from_scratch, rand_normal_automaton, snapshot_from_scratch
 
 T1 = TestSet(("b",))
 ACTS = ("p", "q")
@@ -565,6 +566,18 @@ def _query_lines(log) -> list:
     return [line for line in lines if line.startswith("QUERY ")]
 
 
+class _CountingMooreTeacher(MooreTeacher):
+    """Counts the calls to its one override, `answer_outputs`."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.asks = 0
+
+    def answer_outputs(self, t, columns, atoms):
+        self.asks += 1
+        return super().answer_outputs(t, columns, atoms)
+
+
 def test_observers_get_only_the_kinds_they_subscribe_to():
     target = loop_target()
     full, on_full = record_events()
@@ -611,6 +624,26 @@ def test_observers_get_only_the_kinds_they_subscribe_to():
     on_event.events = ("answers",)
     table = GlObservationTable(T1, ACTS, GkatTeacher(target), QueryStats(), on_event=on_event)
     assert table._ask((), []) == [] and log == []
+    # L*: one `answers` event per `answer_outputs` call, also for asks
+    # that span several columns, with the full log's QUERY lines
+    rng = random.Random(73)
+    tests = TestSet(("b", "c"))
+    cases = [(T1, moore_target)] + [
+        (tests, minimize_moore(embed_moore(rand_normal_automaton(rng, tests, ACTS, 5))))
+        for _ in range(5)
+    ]
+    wide = 0
+    for tests, moore_target in cases:
+        full, on_full = record_events()
+        lstar_moore(MooreTeacher(moore_target), tests, ACTS, on_event=on_full)
+        teacher = _CountingMooreTeacher(moore_target)
+        log, on_event = record_events()
+        on_event.events = ("answers",)
+        lstar_moore(teacher, tests, ACTS, on_event=on_event)
+        assert len(log) == teacher.asks > 0
+        assert _query_lines(log) == _query_lines(full)
+        wide += sum(len(tails) > len(atoms(tests)) for _, (_, tails, _) in log)
+    assert wide
 
 
 def test_observed_tables_hold_no_reference_cycle():
@@ -686,6 +719,36 @@ def test_columns_only_append_to_rows():
                 for t, cells in before.items():
                     assert table.cells[t][: len(cells)] == cells
     assert all(counterexamples.values())
+
+
+def test_kept_rows_and_snapshots_equal_fresh_ones(monkeypatch):
+    """`all_rows` and `snapshot` keep what they built; after every fill,
+    promote and counterexample they equal the from-scratch renderers, on
+    both tables, both counterexample modes and with zero-fill."""
+    seen = set()
+
+    def checked(method):
+        def wrapper(table, *args):
+            result = method(table, *args)
+            assert table.all_rows() == all_rows_from_scratch(table)
+            assert table.snapshot() == snapshot_from_scratch(table)
+            seen.add((type(table), method.__name__))
+            return result
+        return wrapper
+
+    for name in ("fill", "promote", "add_counterexample"):
+        monkeypatch.setattr(ObservationTable, name, checked(getattr(ObservationTable, name)))
+    rng = random.Random(71)
+    for tests in (T1, TestSet(("b", "c"))):
+        for _ in range(6):
+            target = rand_normal_automaton(rng, tests, ACTS, 5)
+            for mode in ("suffix", "optimized"):
+                for deduce in (False, True):
+                    aut, _ = glstar(GkatTeacher(target), tests, ACTS, cx_mode=mode,
+                                    zero_fill=deduce)
+                    assert bisimilar(aut, 0, target, 0)[0] == 1
+            lstar_moore(MooreTeacher(minimize_moore(embed_moore(target))), tests, ACTS)
+    assert len(seen) == 6
 
 
 def _table_invariants(table):

@@ -328,7 +328,8 @@ def test_embed_primitives():
 
 def test_node_hash_is_fixed_at_construction():
     """Hashing never walks the tree: a node 100,000 sequences deep hashes
-    at once, to the hash of its field tuple, as every node kind does."""
+    at once, to the hash of its field tuple, as every node kind and every
+    atom does."""
     deep = Act("p")
     for _ in range(100_000):
         deep = Seq(deep, Act("q"))
@@ -338,7 +339,7 @@ def test_node_hash_is_fixed_at_construction():
         Zero(), One(), b, Not(b), And(b, One()), Or(Zero(), b), Act("p"),
         Seq(Act("p"), b), IfThenElse(b, Act("p"), One()), While(b, Act("p")),
         KZERO, KONE, KTest(b), KAct("p"), KPlus((KONE, KAct("p"))),
-        KSeq((KAct("p"), KAct("q"))), KStar(KAct("p")),
+        KSeq((KAct("p"), KAct("q"))), KStar(KAct("p")), *atoms(TestSet(("b", "c"))),
     ]
     for node in nodes:
         values = tuple(getattr(node, f.name) for f in fields(node) if f.compare)
