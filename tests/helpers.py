@@ -22,6 +22,7 @@ from gkat import (
     normalize,
     word_to_str,
 )
+from gkat.syntax import KONE, KZERO, KAct, KPlus, KStar, KTest, KZero, kat_to_str, kseq
 
 
 def rand_bexp(rng: random.Random, tests: TestSet, depth: int):
@@ -112,6 +113,47 @@ def rand_live_normal_automaton(rng, tests, actions, max_states) -> GkatAutomaton
         aut = rand_normal_automaton(rng, tests, actions, max_states)
         if any(aut.delta[aut.initial][a] != 0 for a in range(2 ** len(tests))):
             return aut
+
+
+def rand_kat(rng: random.Random, tests: TestSet, actions: Tuple[str, ...], depth: int,
+             plus):
+    """Random KAT term whose sums are all built by `plus`."""
+    if depth <= 0 or rng.random() < 0.3:
+        roll = rng.randrange(5)
+        if roll < 2:
+            return KAct(rng.choice(actions))
+        if roll < 4:
+            return KTest(rand_bexp(rng, tests, 1))
+        return rng.choice([KZERO, KONE])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return kseq(*[rand_kat(rng, tests, actions, depth - 1, plus) for _ in range(2)])
+    if kind == 1:
+        n = rng.randint(0, 3)
+        return plus(*[rand_kat(rng, tests, actions, depth - 1, plus) for _ in range(n)])
+    return KStar(rand_kat(rng, tests, actions, depth - 1, plus))
+
+
+def kplus_by_text(*terms):
+    """KAT sum normalized by printed text: terms are deduplicated and sorted
+    by `kat_to_str`, stored as a tuple; 0 is the unit."""
+    flat = []
+    for k in terms:
+        if isinstance(k, KZero):
+            continue
+        if isinstance(k, KPlus):
+            flat.extend(k.terms)
+        else:
+            flat.append(k)
+    keyed = {}
+    for k in flat:
+        keyed.setdefault(kat_to_str(k), k)
+    ordered = [keyed[key] for key in sorted(keyed)]
+    if not ordered:
+        return KZERO
+    if len(ordered) == 1:
+        return ordered[0]
+    return KPlus(tuple(ordered))
 
 
 def enumerate_guarded_strings(

@@ -15,6 +15,8 @@ from gkat import (
     embed_moore,
     gkat_automaton,
     kat_moore_automaton,
+    kat_to_str,
+    letters,
     member,
     minimize,
     minimize_moore,
@@ -22,8 +24,9 @@ from gkat import (
     parse_exp,
     unrolled_while_automaton,
 )
-from gkat.syntax import KONE, KZERO
-from helpers import enumerate_guarded_strings, rand_exp
+from gkat.construct import _kat_deriv
+from gkat.syntax import KONE, KZERO, kplus
+from helpers import enumerate_guarded_strings, kplus_by_text, rand_exp, rand_kat
 
 T1 = TestSet(("b",))
 ACTS = ("p", "q")
@@ -174,13 +177,26 @@ def _unrolled_loops(k):
     )
 
 
+T2 = TestSet(("b", "c"))
+
+
+def _rand_corpus():
+    """Seeded random programs: 300 over one test, then 150 over two."""
+    rng = random.Random(4004)
+    corpus = []
+    for tests, count in ((T1, 300), (T2, 150)):
+        corpus += [(rand_exp(rng, tests, ACTS, depth=5), tests) for _ in range(count)]
+    return corpus
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def test_constructions_unchanged():
     """Derivative automata and KAT Moore machines stay byte-identical."""
-    T2 = TestSet(("b", "c"))
-    corpus = []  # (expression, test set, also build the KAT machine)
-    rng = random.Random(4004)
-    for tests, count in ((T1, 300), (T2, 150)):
-        corpus += [(rand_exp(rng, tests, ACTS, depth=5), tests, True) for _ in range(count)]
+    # (expression, test set, also build the KAT machine)
+    corpus = [(e, tests, True) for e, tests in _rand_corpus()]
     corpus += [(parse_exp(text, T1, ACTS), T1, True) for text in ONE_DROPPING]
     corpus += [(parse_exp(text, T2, ACTS), T2, True) for text in ONE_DROPPING_2]
     for k in (2, 3, 7, 22, 62):
@@ -192,7 +208,51 @@ def test_constructions_unchanged():
         if kat:
             m = kat_moore_automaton(embed_kat(e), tests, ACTS)
             lines.append(repr((m.delta, m.outputs)))
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == (
+    assert _digest(lines) == (
         "19dacbbf16c5451ca3a01ff6fa92fe8c25bd60788659da02096a5f2cc5646339"
     )
+
+
+def test_kat_machines_at_depth_unchanged():
+    """KAT Moore machines of the nested-loop families at k=62 and k=100."""
+    lines = []
+    for k in (62, 100):
+        for text in (_nested_loops(k), _unrolled_loops(k)):
+            m = kat_moore_automaton(embed_kat(parse_exp(text, T1, ACTS)), T1, ACTS)
+            lines.append(repr((m.delta, m.outputs)))
+    assert _digest(lines) == (
+        "5f9d016dc62451632c3d6a8df709fe87ea5cfd8f88260cb38eedc9f0d96b6667"
+    )
+
+
+def test_printed_kat_terms_unchanged():
+    """The printed text of every KAT derivative state is pinned, and sums
+    print and compare as sums normalized by their printed text do."""
+    lines = []
+    for e, tests in _rand_corpus():
+        queue = [embed_kat(e)]
+        seen = set(queue)
+        for k in queue:  # breadth first, in the numbering of kat_moore_automaton
+            lines.append(kat_to_str(k))
+            for atom, p in letters(tests, ACTS):
+                d = _kat_deriv(k, atom, p)
+                if d not in seen:
+                    seen.add(d)
+                    queue.append(d)
+    assert len(lines) == 1245
+    assert _digest(lines) == (
+        "7a0869d444687d7b62ebeff6e35d8a3e933bc1da108ebfde73cc0c522719cf51"
+    )
+    for seed in range(300):
+        sums = []
+        for plus in (kplus, kplus_by_text):
+            rng = random.Random(seed)
+            pool = [rand_kat(rng, T2, ACTS, 3, plus) for _ in range(5)]
+            left = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            right = left + rng.sample(pool, rng.randint(0, 2))
+            rng.shuffle(right)
+            sums.append((plus(*left), plus(*right)))
+        (left, right), (left_by_text, right_by_text) = sums
+        assert kat_to_str(left) == kat_to_str(left_by_text)
+        assert kat_to_str(right) == kat_to_str(right_by_text)
+        assert (left == right) == (left_by_text == right_by_text)
