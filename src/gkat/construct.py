@@ -236,7 +236,7 @@ def _kat_deriv(k: KatExp, atom, action: str) -> KatExp:
     if isinstance(k, KPlus):
         return kplus(*[_kat_deriv(t, atom, action) for t in k.terms])
     if isinstance(k, KSeq):
-        head, tail = k.parts[0], kseq(*k.parts[1:])
+        head, tail = k.parts[0], k.parts[1] if len(k.parts) == 2 else KSeq(k.parts[1:])
         first = kseq(_kat_deriv(head, atom, action), tail)
         if _kat_eps(head, atom):
             return kplus(first, _kat_deriv(tail, atom, action))

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .errors import CapacityError, ParseError
 
@@ -394,7 +394,8 @@ class KAct(KatExp):
 
 @_hash_once
 class KPlus(KatExp):
-    terms: Tuple[KatExp, ...]
+    """A sum whose terms are a set, printed sorted by their level-0 text."""
+    terms: FrozenSet[KatExp]
 
 
 @_hash_once
@@ -431,28 +432,18 @@ def kseq(*parts: KatExp) -> KatExp:
 
 
 def kplus(*terms: KatExp) -> KatExp:
-    """Sum normalized up to associativity, commutativity and idempotence.
-
-    Terms are deduplicated and sorted by their printed form so equal sums
-    are structurally equal; 0 is the unit.
-    """
-    flat = []
+    """Sum normalized up to associativity, commutativity and idempotence:
+    nested sums are flattened, 0 (the unit) is dropped and the terms are a
+    set, so equal sums are equal by value; printed sorted by level-0 text."""
+    flat = set()
     for k in terms:
-        if isinstance(k, KZero):
-            continue
         if isinstance(k, KPlus):
-            flat.extend(k.terms)
-        else:
-            flat.append(k)
-    keyed = {}
-    for k in flat:
-        keyed.setdefault(kat_to_str(k), k)
-    ordered = [keyed[key] for key in sorted(keyed)]
-    if not ordered:
-        return KZERO
-    if len(ordered) == 1:
-        return ordered[0]
-    return KPlus(tuple(ordered))
+            flat.update(k.terms)
+        elif not isinstance(k, KZero):
+            flat.add(k)
+    if len(flat) > 1:
+        return KPlus(frozenset(flat))
+    return flat.pop() if flat else KZERO
 
 
 def _guard_pos(b: BExp) -> KatExp:
@@ -565,7 +556,7 @@ def _kat_str(k, level):
         s = "·".join(_kat_str(p, 1) for p in k.parts)
         return "(" + s + ")" if level > 0 else s
     if isinstance(k, KPlus):
-        s = " + ".join(_kat_str(t, 1) for t in k.terms)
+        s = " + ".join(_kat_str(t, 1) for t in sorted(k.terms, key=kat_to_str))
         return "(" + s + ")" if level > 0 else s
     raise TypeError("not a KAT term: %r" % (k,))
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import gkat.syntax
 from gkat import (
     Act,
     CapacityError,
@@ -223,6 +224,21 @@ def test_kat_machines_at_depth_unchanged():
     assert _digest(lines) == (
         "5f9d016dc62451632c3d6a8df709fe87ea5cfd8f88260cb38eedc9f0d96b6667"
     )
+
+
+def test_kat_construction_prints_nothing(monkeypatch):
+    """KAT sums are normalized by value: building KAT machines prints no
+    term."""
+
+    def refuse(*args):
+        raise AssertionError("printed a KAT term")
+
+    monkeypatch.setattr(gkat.syntax, "kat_to_str", refuse)
+    monkeypatch.setattr(gkat.syntax, "_kat_str", refuse)
+    programs = [(text, T1) for text in ONE_DROPPING + [_unrolled_loops(7)]]
+    programs += [(text, T2) for text in ONE_DROPPING_2]
+    for text, tests in programs:
+        kat_moore_automaton(embed_kat(parse_exp(text, tests, ACTS)), tests, ACTS)
 
 
 def test_printed_kat_terms_unchanged():
