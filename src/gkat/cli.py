@@ -236,7 +236,7 @@ def main(argv=None) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except (CapacityError, RecursionError, MemoryError) as exc:
-        # deep nesting exhausts the interpreter stack before any explicit cap
+        # the parser takes any depth, but later layers recurse on deep nesting
         reason = str(exc) or type(exc).__name__
         print("capacity exceeded: %s" % reason, file=sys.stderr)
         return 3

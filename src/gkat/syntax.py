@@ -3,8 +3,9 @@
 Boolean guards, program expressions, atoms (truth assignments over the
 declared tests), guarded strings with fusion, letter words (tuples of
 (atom, action) pairs, the dangling prefixes of guarded strings) with
-`letters`, `join` and `word_to_str`, the imperative concrete syntax
-parser, pretty printers, and the embedding into plain KAT terms.
+`letters`, `join` and `word_to_str`, pretty printers, the embedding into
+plain KAT terms, and the parser of the imperative syntax, whose loops
+over explicit stacks take programs nested to any depth.
 
 Expression, guard and KAT term nodes are immutable, and each node's hash
 is fixed at construction from its children's stored hashes. Hashing a
@@ -16,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import attrgetter
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -73,7 +75,8 @@ def _hash_once(cls):
     construction.
 
     The stored hash equals the frozen dataclass hash of the field tuple;
-    it is taken once, from the children's stored hashes.
+    it is taken once, from the children's stored hashes, and a pickle
+    holds only the fields, so loading one under any hash seed rehashes.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
@@ -87,9 +90,13 @@ def _hash_once(cls):
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(fields_of(self)))
 
+    def __reduce__(self):
+        return type(self), fields_of(self)
+
     cls.__annotations__ = {**annotations, "_hash": "int"}
     cls._hash = field(init=False, repr=False, compare=False)
     cls.__post_init__ = __post_init__
+    cls.__reduce__ = __reduce__
     cls.__hash__ = _stored_hash
     return dataclass(frozen=True, slots=True)(cls)
 
@@ -223,6 +230,9 @@ class Atom:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.tests, self.bits)))
+
+    def __reduce__(self):
+        return Atom, (self.tests, self.bits)
 
     __hash__ = _stored_hash
 
@@ -563,153 +573,143 @@ def _kat_str(k, level):
 
 # ===== Parser =====
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<zero>0)"
-    r"|(?P<one>1)"
-    r"|(?P<sym>[;()])"
-)
+# One match per token, the whitespace before it skipped. A token's kind
+# follows from its text: a keyword or a name starts with a letter or "_";
+# every other token is one character, and an error unless it is in "01;()".
+_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[01;()]|\S)")
+_BINARY = {"and": And, "or": Or}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            value = m.group()
-            if kind == "ident" and value in KEYWORDS:
-                kind = "kw"
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+def _scan(text):
+    """The tokens of `text`, then "" for its end. Trailing whitespace is cut:
+    `findall` would take quadratic time to find no token in it."""
+    tokens = _TOKEN_RE.findall(text.rstrip())
+    bad = [t for t in set(tokens) if t not in "01;()" and not _IDENT_RE.match(t)]
+    if bad:
+        i = min(map(tokens.index, bad))
+        raise _error(text, i, "unexpected character %r" % tokens[i])
+    tokens.append("")
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, tests, actions):
-        self.tokens = tokens
-        self.i = 0
-        self.tests = frozenset(tests)
-        self.actions = frozenset(actions)
+def _error(text, i, message):
+    """A ParseError at token i; token positions are found only here."""
+    m = next(islice(_TOKEN_RE.finditer(text.rstrip()), i, None), None)
+    return ParseError(message, m.start(1) if m else len(text))
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _expected(text, tokens, i, want):
+    return _error(text, i, "expected %r, found %r" % (want, tokens[i] or "end"))
 
-    def expect(self, kind, value=None):
-        tok = self.peek()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ParseError("expected %r, found %r" % (want, tok[1] or "end"), tok[2])
-        return self.advance()
 
-    def at_kw(self, word):
-        tok = self.peek()
-        return tok[0] == "kw" and tok[1] == word
+def _is_name(token):
+    return _IDENT_RE.match(token) and token not in KEYWORDS
 
-    # expressions
 
-    def parse_seq(self):
-        left = self.parse_unit()
-        if self.peek()[:2] == ("sym", ";"):
-            self.advance()
-            return Seq(left, self.parse_seq())
-        return left
+def _parse_guard(text, tokens, i, leaves):
+    """Parse the guard at token i by precedence climbing; return it and the
+    index of the token after it. `not` binds tightest, then `and`, then
+    `or`, both left-associative. Above the bottom None the stack holds "("
+    and the pending operators: (Not,), and (And or Or, left operand).
+    """
+    stack = [None]
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok == "(" or tok == "not":
+            stack.append(tok if tok == "(" else (Not,))
+            continue
+        b = leaves.get(tok)
+        if b is None:
+            raise _error(text, i - 1, "unknown test %r" % tok if _is_name(tok)
+                         else "expected a guard, found %r" % (tok or "end"))
+        while True:  # b is a whole operand, and tokens[i] follows it
+            op = _BINARY.get(tokens[i])
+            top = stack[-1]
+            while top.__class__ is tuple and (op is not And or top[0] is not Or):
+                stack.pop()
+                b = top[0](*top[1:], b)
+                top = stack[-1]
+            if op:
+                stack.append((op, b))
+                i += 1
+                break
+            if top is None:
+                return b, i
+            if tokens[i] != ")":
+                raise _expected(text, tokens, i, ")")
+            stack.pop()
+            i += 1
 
-    def parse_unit(self):
-        kind, value, pos = self.peek()
-        if kind == "kw" and value == "do":
-            self.advance()
-            tok = self.expect("ident")
-            if tok[1] not in self.actions:
-                raise ParseError("unknown action %r" % tok[1], tok[2])
-            return Act(tok[1])
-        if kind == "kw" and value == "assert":
-            self.advance()
-            return self.parse_or()
-        if kind == "kw" and value == "if":
-            self.advance()
-            cond = self.parse_or()
-            self.expect("kw", "then")
-            then_branch = self.parse_seq()
-            self.expect("kw", "else")
-            return IfThenElse(cond, then_branch, self.parse_seq())
-        if kind == "kw" and value == "while":
-            self.advance()
-            cond = self.parse_or()
-            self.expect("kw", "do")
-            return While(cond, self.parse_seq())
-        if kind == "sym" and value == "(":
-            self.advance()
-            inner = self.parse_seq()
-            self.expect("sym", ")")
-            return inner
-        raise ParseError("expected a statement, found %r" % (value or "end"), pos)
 
-    # guards
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at_kw("or"):
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.at_kw("and"):
-            self.advance()
-            left = And(left, self.parse_not())
-        return left
-
-    def parse_not(self):
-        if self.at_kw("not"):
-            self.advance()
-            return Not(self.parse_not())
-        return self.parse_batom()
-
-    def parse_batom(self):
-        kind, value, pos = self.peek()
-        if kind == "zero":
-            self.advance()
-            return Zero()
-        if kind == "one":
-            self.advance()
-            return One()
-        if kind == "ident":
-            if value not in self.tests:
-                raise ParseError("unknown test %r" % value, pos)
-            self.advance()
-            return Test(value)
-        if kind == "sym" and value == "(":
-            self.advance()
-            inner = self.parse_or()
-            self.expect("sym", ")")
-            return inner
-        raise ParseError("expected a guard, found %r" % (value or "end"), pos)
+def _leaves(tests):
+    return {**{name: Test(name) for name in tests.tests}, "0": Zero(), "1": One()}
 
 
 def parse_exp(text: str, tests: TestSet, actions: Tuple[str, ...]) -> Exp:
-    """Parse imperative concrete syntax against declared tests and actions."""
+    """Parse imperative concrete syntax against declared tests and actions.
+
+    One loop over an explicit stack, so depth is bounded by memory, not by
+    the interpreter stack. The stack holds (node class, operands) for a
+    node to build once the statement it awaits is whole, and (token,
+    operands) for the token that must then follow: "", ")" or "else".
+    """
     _check_names(actions, "action")
-    parser = _Parser(_tokenize(text), tests.tests, actions)
-    e = parser.parse_seq()
-    parser.expect("eof")
-    return e
+    acts = {name: Act(name) for name in actions}
+    leaves = _leaves(tests)
+    tokens = _scan(text)
+    stack = [("",)]
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok == "do":
+            e = acts.get(tokens[i])
+            if e is None:
+                raise (_error(text, i, "unknown action %r" % tokens[i])
+                       if _is_name(tokens[i]) else _expected(text, tokens, i, "ident"))
+            i += 1
+        elif tok == "assert":
+            e, i = _parse_guard(text, tokens, i, leaves)
+        elif tok == "if" or tok == "while":
+            cond, i = _parse_guard(text, tokens, i, leaves)
+            want = "then" if tok == "if" else "do"
+            if tokens[i] != want:
+                raise _expected(text, tokens, i, want)
+            stack.append(("else", cond) if tok == "if" else (While, cond))
+            i += 1
+            continue
+        elif tok == "(":
+            stack.append((")",))
+            continue
+        else:
+            raise _error(text, i - 1, "expected a statement, found %r" % (tok or "end"))
+        while True:  # e is a whole statement, and tokens[i] follows it
+            tok = tokens[i]
+            if tok == ";":
+                stack.append((Seq, e))
+                i += 1
+                break
+            top = stack[-1]
+            while top[0].__class__ is not str:
+                stack.pop()
+                e = top[0](*top[1:], e)
+                top = stack[-1]
+            if tok != top[0]:
+                raise _expected(text, tokens, i, top[0] or "eof")
+            if not tok:
+                return e
+            i += 1
+            if tok == "else":
+                stack[-1] = (IfThenElse, top[1], e)
+                break
+            stack.pop()
 
 
 def parse_bexp(text: str, tests: TestSet) -> BExp:
     """Parse a bare guard."""
-    parser = _Parser(_tokenize(text), tests.tests, ())
-    b = parser.parse_or()
-    parser.expect("eof")
+    tokens = _scan(text)
+    b, i = _parse_guard(text, tokens, 0, _leaves(tests))
+    if tokens[i]:
+        raise _expected(text, tokens, i, "eof")
     return b

@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 import random
+import re
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
@@ -12,6 +13,7 @@ from gkat import (
     Not,
     One,
     Or,
+    ParseError,
     Seq,
     Test,
     TestSet,
@@ -22,7 +24,19 @@ from gkat import (
     normalize,
     word_to_str,
 )
-from gkat.syntax import KONE, KZERO, KAct, KPlus, KStar, KTest, KZero, kat_to_str, kseq
+from gkat.syntax import (
+    KEYWORDS,
+    KONE,
+    KZERO,
+    KAct,
+    KPlus,
+    KStar,
+    KTest,
+    KZero,
+    _check_names,
+    kat_to_str,
+    kseq,
+)
 
 
 def rand_bexp(rng: random.Random, tests: TestSet, depth: int):
@@ -284,3 +298,158 @@ def snapshot_from_scratch(table):
         cells = [table._cell_str(v) for v in table.cells.get(t, ())]
         body.append([label] + cells + [""] * (len(table.E) - len(cells)))
     return header, body
+
+
+# The parser that `syntax.parse_exp` replaced, kept as the oracle that the
+# differential test holds the explicit-stack parser to.
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<zero>0)"
+    r"|(?P<one>1)"
+    r"|(?P<sym>[;()])"
+)
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError("unexpected character %r" % text[pos], pos)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup
+            value = m.group()
+            if kind == "ident" and value in KEYWORDS:
+                kind = "kw"
+            tokens.append((kind, value, pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, tests, actions):
+        self.tokens = tokens
+        self.i = 0
+        self.tests = frozenset(tests)
+        self.actions = frozenset(actions)
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind, value=None):
+        tok = self.peek()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value if value is not None else kind
+            raise ParseError("expected %r, found %r" % (want, tok[1] or "end"), tok[2])
+        return self.advance()
+
+    def at_kw(self, word):
+        tok = self.peek()
+        return tok[0] == "kw" and tok[1] == word
+
+    # expressions
+
+    def parse_seq(self):
+        left = self.parse_unit()
+        if self.peek()[:2] == ("sym", ";"):
+            self.advance()
+            return Seq(left, self.parse_seq())
+        return left
+
+    def parse_unit(self):
+        kind, value, pos = self.peek()
+        if kind == "kw" and value == "do":
+            self.advance()
+            tok = self.expect("ident")
+            if tok[1] not in self.actions:
+                raise ParseError("unknown action %r" % tok[1], tok[2])
+            return Act(tok[1])
+        if kind == "kw" and value == "assert":
+            self.advance()
+            return self.parse_or()
+        if kind == "kw" and value == "if":
+            self.advance()
+            cond = self.parse_or()
+            self.expect("kw", "then")
+            then_branch = self.parse_seq()
+            self.expect("kw", "else")
+            return IfThenElse(cond, then_branch, self.parse_seq())
+        if kind == "kw" and value == "while":
+            self.advance()
+            cond = self.parse_or()
+            self.expect("kw", "do")
+            return While(cond, self.parse_seq())
+        if kind == "sym" and value == "(":
+            self.advance()
+            inner = self.parse_seq()
+            self.expect("sym", ")")
+            return inner
+        raise ParseError("expected a statement, found %r" % (value or "end"), pos)
+
+    # guards
+
+    def parse_or(self):
+        left = self.parse_and()
+        while self.at_kw("or"):
+            self.advance()
+            left = Or(left, self.parse_and())
+        return left
+
+    def parse_and(self):
+        left = self.parse_not()
+        while self.at_kw("and"):
+            self.advance()
+            left = And(left, self.parse_not())
+        return left
+
+    def parse_not(self):
+        if self.at_kw("not"):
+            self.advance()
+            return Not(self.parse_not())
+        return self.parse_batom()
+
+    def parse_batom(self):
+        kind, value, pos = self.peek()
+        if kind == "zero":
+            self.advance()
+            return Zero()
+        if kind == "one":
+            self.advance()
+            return One()
+        if kind == "ident":
+            if value not in self.tests:
+                raise ParseError("unknown test %r" % value, pos)
+            self.advance()
+            return Test(value)
+        if kind == "sym" and value == "(":
+            self.advance()
+            inner = self.parse_or()
+            self.expect("sym", ")")
+            return inner
+        raise ParseError("expected a guard, found %r" % (value or "end"), pos)
+
+
+def recursive_parse_exp(text, tests, actions):
+    """`parse_exp` as a recursive-descent parser, one method per grammar rule."""
+    _check_names(actions, "action")
+    parser = _Parser(_tokenize(text), tests.tests, actions)
+    e = parser.parse_seq()
+    parser.expect("eof")
+    return e
+
+
+def recursive_parse_bexp(text, tests):
+    """`parse_bexp` by the recursive-descent parser."""
+    parser = _Parser(_tokenize(text), tests.tests, ())
+    b = parser.parse_or()
+    parser.expect("eof")
+    return b

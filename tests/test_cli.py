@@ -356,23 +356,37 @@ def test_deep_equiv_never_reports_inequivalent(capsys):
 
 
 def test_deep_equiv_witness(capsys):
-    rc = _equiv_deep(_nested_loops(300, "q"), _nested_loops(300, "r"))
-    assert rc == 1
+    """Sequenced loops get a verdict, and the witness, at every depth the
+    parser takes."""
     neg = "b" + MACRON
-    assert capsys.readouterr().out == "inequivalent; witness: %s%sq%s\n" % (
-        "bp" * 300,
-        neg,
-        neg,
-    )
+    for k in (300, 1_000, 5_000):
+        assert _equiv_deep(_nested_loops(k, "q"), _nested_loops(k, "q")) == 0
+        assert capsys.readouterr().out == "equivalent\n"
+        assert _equiv_deep(_nested_loops(k, "q"), _nested_loops(k, "r")) == 1
+        assert capsys.readouterr().out == "inequivalent; witness: %s%sq%s\n" % (
+            "bp" * k,
+            neg,
+            neg,
+        )
+
+
+K = 1_000
+TOO_DEEP = {
+    "ifs": "if b then " * K + "do p" + " else do q" * K,
+    "nots": "assert " + "not " * K + "b",
+    "loops in parentheses": "while b do (" * K + "do p" + ")" * K,
+}
 
 
 def test_too_deep_equiv_is_a_capacity_limit(capsys):
-    """Nesting past what the parser can take exits 3, without a traceback."""
-    deep = _nested_loops(1000, "q")
-    assert _equiv_deep(deep, deep) == 3
-    err = capsys.readouterr().err
-    assert "capacity" in err
-    assert "Traceback" not in err
+    """Nesting that a recursive layer after the parser cannot take (1,000
+    nested branches, negations or parenthesized loops) exits 3, without a
+    traceback."""
+    for name, deep in TOO_DEEP.items():
+        assert _equiv_deep(deep, deep) == 3, name
+        err = capsys.readouterr().err
+        assert "capacity" in err, name
+        assert "Traceback" not in err, name
 
 
 def _equiv_by_minimization(a1, a2):
@@ -450,7 +464,7 @@ def test_exit_code_contract(tmp_path, capsys):
         return rng.choice(good if rng.random() < 0.7 else bad)
 
     exprs = (["do p", "while b do do p", "if b then do p else do q"],
-             ["do r", "assert c", "while b do", "(do p", "", _nested_loops(400, "q")])
+             ["do r", "assert c", "while b do", "(do p", "", TOO_DEEP["ifs"]])
     for _ in range(100):
         command = rng.choice(["learn", "compare", "equiv", "words"])
         argv = [command, "--expr", pick(*exprs),

@@ -1,5 +1,11 @@
+import os
 import pickle
+import random
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +40,7 @@ from gkat import (
     word_to_str,
 )
 from gkat.syntax import (
+    KEYWORDS,
     KAct,
     KPlus,
     KSeq,
@@ -44,6 +51,7 @@ from gkat.syntax import (
     kplus,
     kseq,
 )
+from helpers import rand_bexp, rand_exp, recursive_parse_bexp, recursive_parse_exp
 
 T1 = TestSet(("b",))
 T2 = TestSet(("a", "b"))
@@ -284,6 +292,89 @@ def test_guard_print_parse_round_trip(b):
     assert parse_bexp(bexp_to_str(b), T2) == b
 
 
+def _parsed(parse, *args):
+    """The tree, or the ParseError's text and position."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+SOUP = sorted(KEYWORDS) + ["a", "b", "p", "q", "x", "r", "d0", "0", "1", "2", ";",
+                           "(", ")", "(", ")", "-", "é"]
+GAPS = [" ", " ", " ", "", "\t", "\n", "  "]
+
+
+def _soup(rng):
+    words = [rng.choice(["do", "assert", "if", "while", "(", "not"] + SOUP)]
+    words += [rng.choice(SOUP) for _ in range(rng.randrange(12))]
+    return "".join(rng.choice(GAPS) + word for word in words) + rng.choice(GAPS)
+
+
+def _one_token_dropped(text):
+    for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*|\S", text):
+        yield text[: m.start()] + text[m.end():]
+
+
+def test_parser_agrees_with_recursive_descent():
+    """The explicit-stack parser gives the tree, or the ParseError text and
+    position, that the recursive-descent parser gives: on token soups, on
+    printed programs and guards, and on each of those with one token
+    dropped. The long inputs hang a scanner that backtracks on them."""
+    rng = random.Random(1818)
+    texts = [_soup(rng) for _ in range(1500)]
+    for _ in range(50):
+        for text in (exp_to_str(rand_exp(rng, T2, ACTS, 4)),
+                     bexp_to_str(rand_bexp(rng, T2, 3))):
+            texts.append(text)
+            texts.extend(_one_token_dropped(text))
+    texts += [
+        "p" * 40 + "é",
+        "do p; " * 5_000 + "é",
+        "do " + "pq" * 50_000 + " -",
+        "(" * 10_000 + "\t2",
+        "do p" + " " * 100_000,
+        "do p; assert b or" + "\n" * 100_000,
+        "not" + " \t\n" * 30_000 + "b",
+    ]
+    for text in texts:
+        assert _parsed(parse_exp, text, T2, ACTS) == _parsed(
+            recursive_parse_exp, text, T2, ACTS), text
+        assert _parsed(parse_bexp, text, T2) == _parsed(
+            recursive_parse_bexp, text, T2), text
+
+
+def test_parser_errors_past_the_recursion_limit():
+    """Errors after thousands of blocks are found and placed without
+    recursion, and so are those found only at the end of long inputs."""
+    loops = "; ".join(["while b do do p"] * 20_000)
+    with pytest.raises(ParseError) as info:
+        parse_exp(loops + "; do", T1, ACTS)
+    assert (str(info.value), info.value.position) == (
+        "expected 'ident', found 'end' (at position %d)" % (len(loops) + 4),
+        len(loops) + 4,
+    )
+    text = "(" * 20_000 + "not b" + ")" * 19_999 + " or b do"
+    with pytest.raises(ParseError) as info:
+        parse_bexp(text, T1)
+    assert (str(info.value), info.value.position) == (
+        "expected ')', found 'do' (at position %d)" % (len(text) - 2),
+        len(text) - 2,
+    )
+
+
+def test_parser_takes_5000_nested_loops():
+    """5,000 loops nested in parentheses parse under the default recursion
+    limit, into the tree they were written as (walked without recursion,
+    as == would recurse)."""
+    k = 5_000
+    e = parse_exp("while b do (" * k + "do p" + ")" * k, T1, ACTS)
+    for _ in range(k):
+        assert isinstance(e, While) and e.cond == Test("b")
+        e = e.body
+    assert e == Act("p")
+
+
 # ===== KAT terms =====
 
 def test_kseq_units():
@@ -346,3 +437,31 @@ def test_node_hash_is_fixed_at_construction():
         assert hash(node) == hash(values), node
         copy = pickle.loads(pickle.dumps(node))
         assert copy == node and hash(copy) == hash(node)
+
+
+PICKLE_CHECK = """
+import pickle, sys
+from gkat.syntax import Act, Atom, KAct, Seq, Zero
+fresh = [KAct("p"), Act("p"), Seq(Act("p"), Act("q")), Atom(("b",), 1), Zero()]
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(fresh))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    print([(o == f, o in {f}) for o, f in zip(loaded, fresh)])
+"""
+
+
+def test_unpickled_nodes_hash_under_another_seed():
+    """A node or atom pickled under one hash seed and loaded under another
+    equals a fresh one and is found in a set that holds it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(seed, *args, **kwargs):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", PICKLE_CHECK, *args],
+                              capture_output=True, env=env, **kwargs)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    found = run("2", "load", input=run("1", "dump"))
+    assert found.decode().strip() == repr([(True, True)] * 5)
