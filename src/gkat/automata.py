@@ -6,7 +6,9 @@ reject (0), or a step (action, next state). A Moore machine reads
 one bit per atom. Both carry their test and action declarations so
 words can be checked against them.
 
-Includes acceptance runs, reachability with shortest witnesses,
+Acceptance runs and the built-in teachers' row methods walk a machine's
+Moore reading (`_Reading`), built once per machine, and check every
+letter of a word. Also included: reachability with shortest witnesses,
 normalization, bisimilarity and similarity checks, minimization for both
 machine kinds, isomorphism checks, the embedding of guarded automata
 into Moore machines, and DOT emitters.
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import NotNormalError
@@ -94,6 +98,8 @@ class GkatAutomaton:
     def n_states(self) -> int:
         return len(self.delta)
 
+    _reading = cached_property(lambda self: _Reading(self))
+
 
 @dataclass(frozen=True)
 class MooreAutomaton:
@@ -125,6 +131,8 @@ class MooreAutomaton:
     def n_states(self) -> int:
         return len(self.delta)
 
+    _reading = cached_property(lambda self: _Reading(self))
+
 
 # ===== Acceptance =====
 
@@ -134,64 +142,80 @@ def _check_state(aut, x):
         raise ValueError("state %r out of range" % (x,))
 
 
-def _check_word(aut, *heads, actions=()):
-    """Reject words whose first atoms `heads` use other tests than aut, or
-    `actions` aut does not declare; a walk passes the action of the step
-    that fails it."""
-    for atom in heads:
-        if atom.tests != aut.tests.tests:
+class _Reading:
+    """A machine's Moore reading, built once per machine (`_reading`):
+    delta[x][a.bits * len(actions) + index[p]] is the state after letter
+    (a, p) and outputs[x] the output row; a guarded machine reads as its
+    `embed_moore`. Every word reads 0 from the sink, the last state that
+    loops on every letter and outputs 0, so the row methods only check
+    the letters of the columns they read from there."""
+
+    def __init__(self, aut):
+        moore = aut if isinstance(aut, MooreAutomaton) else embed_moore(aut)
+        self.tests, self.delta, self.outputs = aut.tests.tests, moore.delta, moore.outputs
+        self.index = {p: i for i, p in enumerate(aut.actions)}
+        sinks = [x for x, row in enumerate(self.delta) if row.count(x) == len(row)]
+        self.sink = next((x for x in reversed(sinks) if not any(self.outputs[x])), None)
+
+    def walk(self, x, word, last=None):
+        """The state reached from x by a word of (atom, action) letters, or the
+        output bit at a last atom; each letter's tests and action are checked."""
+        tests, index, delta, k = self.tests, self.index, self.delta, len(self.index)
+        try:
+            for atom, p in word:
+                if atom.tests is not tests and atom.tests != tests:
+                    raise ValueError("word atoms use different tests")
+                x = delta[x][atom.bits * k + index[p]]
+        except KeyError:
+            _check_declared((p,), index)  # raises: p is undeclared
+        if last is not None and last.tests != tests:
             raise ValueError("word atoms use different tests")
-    if actions:
-        _check_declared(actions, aut.actions)
+        return x if last is None else self.outputs[x][last.bits]
+
+    def accepts(self, x, t, columns) -> list:
+        """The output bit at the end of each guarded string in columns,
+        each read from x after the letter word t."""
+        x = self.walk(x, t)
+        if x != self.sink:
+            return [self.walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
+        tests, index = self.tests, self.index
+        for e in columns:
+            for atom in e.atoms:
+                if atom.tests is not tests and atom.tests != tests:
+                    raise ValueError("word atoms use different tests")
+            for p in e.actions:
+                if p not in index:
+                    _check_declared((p,), index)
+        return [0] * len(columns)
+
+    def output_rows(self, x, t, columns, atoms) -> list:
+        """The output row after each letter word in columns, each read from
+        x after the letter word t; `atoms`, which end each word, are checked."""
+        x = self.walk(x, t)
+        if x != self.sink:
+            rows = [self.outputs[self.walk(x, e)] for e in columns]
+        else:
+            rows = [self.outputs[self.walk(x, chain.from_iterable(columns))]] * len(columns)
+        if rows and [a.tests for a in atoms].count(self.tests) != len(atoms):
+            raise ValueError("word atoms use different tests")
+        return rows
 
 
-def accepts_gkat(aut: GkatAutomaton, state: int, w: GuardedString) -> int:
-    """Run w from the given state; 1 iff the word is accepted."""
-    _check_word(aut, w.atoms[0])
-    return _accepts_gkat(aut, state, w)
+def accepts_gkat(aut, state: int, w: GuardedString) -> int:
+    """1 iff a machine of either kind accepts w from the given state."""
+    _check_state(aut, state)
+    return aut._reading.walk(state, zip(w.atoms, w.actions), w.atoms[-1])
 
 
-def _accepts_gkat(aut: GkatAutomaton, state: int, w: GuardedString) -> int:
-    """`accepts_gkat` without checking the tests of w's atoms."""
-    x = run_gkat_prefix(aut, state, zip(w.atoms, w.actions))
-    return 0 if x is None else int(aut.delta[x][w.last_atom.bits] == 1)
+accepts_moore = accepts_gkat
 
 
 def run_gkat_prefix(aut: GkatAutomaton, state: int, word) -> Optional[int]:
     """Follow a letter word of (atom, action) pairs; None when some step is
-    missing or mislabeled, ValueError when its action is undeclared."""
+    missing or mislabeled, ValueError on a letter aut does not declare."""
     _check_state(aut, state)
-    x = state
-    for atom, p in word:
-        entry = aut.delta[x][atom.bits]
-        if not isinstance(entry, tuple) or entry[0] != p:
-            if p not in aut.actions:
-                _check_word(aut, actions=(p,))
-            return None
-        x = entry[1]
-    return x
-
-
-def accepts_moore(aut: MooreAutomaton, state: int, w: GuardedString) -> int:
-    """Follow w's letters, then read the output bit at its last atom."""
-    _check_word(aut, w.atoms[0])
-    x = run_moore_prefix(aut, state, zip(w.atoms, w.actions))
-    return aut.outputs[x][w.last_atom.bits]
-
-
-def run_moore_prefix(aut: MooreAutomaton, state: int, word) -> int:
-    """Follow a letter word of (atom, action) pairs through a Moore machine;
-    ValueError on an undeclared action."""
-    _check_state(aut, state)
-    x = state
-    k = len(aut.actions)
-    for atom, p in word:
-        try:
-            j = aut.actions.index(p)
-        except ValueError:
-            _check_word(aut, actions=(p,))
-        x = aut.delta[x][atom.bits * k + j]
-    return x
+    x = aut._reading.walk(state, word)
+    return None if x == aut.n_states else x
 
 
 # ===== Labels and successors =====
@@ -539,17 +563,10 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
     state does not step on; the sink outputs 0 everywhere, so both
     machines describe the same guarded language.
     """
-    unfold = _unfold(aut)
-    sink = aut.n_states
-    delta = []
-    outputs = []
-    for x in [*range(sink), None]:
-        label, succ = unfold(x)
-        delta.append(tuple(sink if y is None else y for y in succ))
-        outputs.append(label)
-    return MooreAutomaton(
-        aut.tests, aut.actions, tuple(delta), tuple(outputs), aut.initial
-    )
+    unfold, sink = _unfold(aut), aut.n_states
+    labels, succs = zip(*[unfold(x) for x in [*range(sink), None]])
+    delta = tuple(tuple(sink if y is None else y for y in succ) for succ in succs)
+    return MooreAutomaton(aut.tests, aut.actions, delta, labels, aut.initial)
 
 
 def moore_reachable(aut: MooreAutomaton) -> MooreAutomaton:

@@ -12,17 +12,17 @@ one query per atom, and every fringe row needs a matching upper row.
 Each table reaches its teacher in one method, `_ask`: one call answers a
 row's missing cells, `answer_row` for guarded-string columns and
 `answer_outputs` for letter-word ones, which by default ask `membership`
-once per query. `GkatTeacher` and `MooreTeacher` walk the row's prefix
-once and each column from there, as long as their `membership` is the
-class's own function: a subclass override or a wrapper on the class (a
-logger, a counter, a tracer) gets every query. Traced and untraced runs
-ask alike: an observer's `events` (absent or None: all but `answers`) only
-picks the events built. An ask is one `answers` event (prefix, tails, bits),
-bit i answering join(prefix, tails[i]), or a `query` event (word, bit) per
-query. A guarded ask's tails are its columns, a Moore ask's e·a for each of
-its columns e and each atom a. Query counters tally raw queries, with no
-memoization across cells; an optional guarded-table mode fills forced-zero
-cells without a query.
+once per query. `GkatTeacher` and `MooreTeacher` share a base whose row
+methods walk the target's Moore reading, checking every letter, as long as
+`membership` is the base's own function: a subclass override or a wrapper
+set on either class (a logger, a counter, a tracer) gets every query.
+Traced and untraced runs ask alike: an observer's `events` (absent or None:
+all but `answers`) only picks the events built. An ask is one `answers`
+event (prefix, tails, bits), bit i answering join(prefix, tails[i]), or a
+`query` event (word, bit) per query. A guarded ask's tails are its columns,
+a Moore ask's e·a for each of its columns e and each atom a. Query counters
+tally raw queries, with no memoization across cells; an optional
+guarded-table mode fills forced-zero cells without a query.
 """
 from __future__ import annotations
 
@@ -33,14 +33,10 @@ from .errors import InternalInconsistencyError, NotClosedError
 from .automata import (
     GkatAutomaton,
     MooreAutomaton,
-    _accepts_gkat,
-    _check_word,
     accepts_gkat,
-    accepts_moore,
     moore_difference,
     moore_difference_gs,
     run_gkat_prefix,
-    run_moore_prefix,
 )
 from .syntax import (
     GuardedString,
@@ -86,7 +82,34 @@ class Teacher:
         return [tuple(self.answer_row(t + e, singles)) for e in columns]
 
 
-class GkatTeacher(Teacher):
+class _MachineTeacher(Teacher):
+    """Teacher for the guarded language of a machine of either kind; its
+    row methods walk the target's reading while `membership` is this
+    class's own function (see the module docstring)."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def membership(self, w: GuardedString) -> int:
+        return accepts_gkat(self.target, self.target.initial, w)
+
+    _own_membership = membership
+
+    def _walks(self) -> bool:
+        return getattr(self.membership, "__func__", None) is _MachineTeacher._own_membership
+
+    def answer_row(self, t: tuple, columns: List[GuardedString]) -> list:
+        if not self._walks():
+            return super().answer_row(t, columns)
+        return self.target._reading.accepts(self.target.initial, t, columns)
+
+    def answer_outputs(self, t: tuple, columns: List[tuple], atoms) -> list:
+        if not self._walks():
+            return super().answer_outputs(t, columns, atoms)
+        return self.target._reading.output_rows(self.target.initial, t, columns, atoms)
+
+
+class GkatTeacher(_MachineTeacher):
     """Teacher for the language of a guarded automaton.
 
     Equivalence is a product search over the Moore unfoldings of
@@ -95,53 +118,13 @@ class GkatTeacher(Teacher):
     returned as complete guarded strings.
     """
 
-    def __init__(self, target: GkatAutomaton):
-        self.target = target
-
-    def membership(self, w: GuardedString) -> int:
-        return accepts_gkat(self.target, self.target.initial, w)
-
-    _own_membership = membership
-
-    def answer_row(self, t: tuple, columns: List[GuardedString]) -> list:
-        aut = self.target
-        if getattr(self.membership, "__func__", None) is not GkatTeacher._own_membership:
-            return super().answer_row(t, columns)
-        if t:
-            _check_word(aut, t[0][0])
-        x = run_gkat_prefix(aut, aut.initial, t)
-        if x is None:
-            return [0] * len(columns)
-        _check_word(aut, *[e.atoms[0] for e in columns])
-        return [_accepts_gkat(aut, x, e) for e in columns]
-
     def equivalence(self, hypothesis: GkatAutomaton) -> Optional[GuardedString]:
         return moore_difference_gs(hypothesis, self.target)
 
 
-class MooreTeacher(Teacher):
+class MooreTeacher(_MachineTeacher):
     """Teacher for the guarded language of a Moore machine; counterexamples
     are letter words."""
-
-    def __init__(self, target: MooreAutomaton):
-        self.target = target
-
-    def membership(self, w: GuardedString) -> int:
-        return accepts_moore(self.target, self.target.initial, w)
-
-    _own_membership = membership
-
-    def answer_outputs(self, t: tuple, columns: List[tuple], atoms) -> list:
-        aut = self.target
-        if getattr(self.membership, "__func__", None) is not MooreTeacher._own_membership:
-            return super().answer_outputs(t, columns, atoms)
-        # as `membership` does, check the first atom of each word t + e + (a,)
-        if t:
-            _check_word(aut, t[0][0])
-        else:
-            _check_word(aut, atoms[0], *[e[0][0] for e in columns if e])
-        x = run_moore_prefix(aut, aut.initial, t)
-        return [aut.outputs[run_moore_prefix(aut, x, e)] for e in columns]
 
     def equivalence(self, hypothesis: MooreAutomaton):
         return moore_difference(hypothesis, self.target)

@@ -126,25 +126,42 @@ def test_accepts_gkat_on_fixture():
 
 
 def test_accepts_rejects_foreign_atoms():
+    """An atom over other tests is rejected wherever it sits: first, second
+    (after a step the machine takes, or after one it lacks) or last."""
     f = fixture()
-    other = atoms(TestSet(("c",)))
-    with pytest.raises(ValueError):
-        accepts_gkat(f, 0, _gs((other[0],), ()))
+    m = embed_moore(f)
+    c = atoms(TestSet(("c",)))[0]
+    words = [
+        _gs((c,), ()),
+        _gs((POS, c, NEG), ("p", "q")),
+        _gs((POS, c, NEG), ("q", "q")),
+        _gs((POS, NEG, c), ("p", "q")),
+    ]
+    for accepts, machine in ((accepts_gkat, f), (accepts_moore, m)):
+        for w in words:
+            with pytest.raises(ValueError, match="different tests"):
+                accepts(machine, 0, w)
 
 
 def test_gkat_words_with_undeclared_actions_raise():
-    """A walk that reaches an undeclared action raises, on the per-query
-    path and on the row path, instead of answering 0."""
+    """An undeclared action raises wherever it sits, also after a step the
+    machine lacks and in a column asked of a row that has left the
+    machine, on the per-query path and on the row path."""
     f = fixture()
     teacher = GkatTeacher(f)
     bad = _gs((NEG, NEG), ("r",))
     after_a_step = _gs((POS, NEG, NEG), ("p", "r"))
+    after_a_missing_step = _gs((POS, NEG, NEG), ("q", "r"))
     calls = [
         lambda: accepts_gkat(f, 0, bad),
         lambda: accepts_gkat(f, 0, after_a_step),
+        lambda: accepts_gkat(f, 0, after_a_missing_step),
         lambda: teacher.membership(bad),
+        lambda: teacher.membership(after_a_missing_step),
         lambda: teacher.answer_row((), [bad]),
+        lambda: teacher.answer_row((), [after_a_missing_step]),
         lambda: teacher.answer_row(((POS, "p"),), [bad]),
+        lambda: teacher.answer_row(((POS, "q"),), [bad]),
         lambda: teacher.answer_row(((NEG, "r"),), [_gs((NEG,), ())]),
     ]
     for call in calls:

@@ -412,15 +412,32 @@ def test_row_methods_equal_per_cell_membership():
 
 
 def test_row_methods_reject_foreign_atoms():
+    """An atom over other tests is rejected wherever it sits: in the row, or
+    as a column's second or last atom, on rows that live and on rows that
+    have left the machine."""
     target = loop_target()
     other = atoms(TestSet(("c",)))
-    with pytest.raises(ValueError):
-        GkatTeacher(target).answer_row(((other[0], "p"),), [GuardedString((NEG,), ())])
+    c = other[0]
+    live, dead = ((POS, "p"),), ((POS, "q"),)
+    gkat = GkatTeacher(target)
     moore = MooreTeacher(minimize_moore(embed_moore(target)))
-    with pytest.raises(ValueError):
-        moore.answer_outputs((), [()], other)
-    with pytest.raises(ValueError, match="different tests"):
-        moore.answer_outputs((), [((other[0], "p"),)], atoms(T1))
+    calls = [
+        lambda: gkat.answer_row(((c, "p"),), [GuardedString((NEG,), ())]),
+        lambda: gkat.answer_row(((POS, "p"), (c, "p")), [GuardedString((NEG,), ())]),
+        lambda: moore.answer_outputs((), [()], other),
+        lambda: moore.answer_outputs((), [((c, "p"),)], atoms(T1)),
+        lambda: moore.answer_outputs(((POS, "p"), (c, "p")), [()], atoms(T1)),
+    ]
+    for t in (live, dead):
+        for column in ((POS, c, NEG), (POS, NEG, c)):
+            calls.append(lambda t=t, column=column: gkat.answer_row(
+                t, [GuardedString((NEG,), ()), GuardedString(column, ("p", "q"))]))
+        for word in (((POS, "p"), (c, "q")), ((c, "p"),)):
+            calls.append(lambda t=t, word=word: moore.answer_outputs(
+                t, [(), word], atoms(T1)))
+    for call in calls:
+        with pytest.raises(ValueError, match="different tests"):
+            call()
 
 
 def test_membership_only_teacher_is_asked_once_per_cell():
@@ -532,8 +549,11 @@ def test_builtin_teachers_never_take_the_per_cell_path(monkeypatch):
 
 def test_wrapped_membership_counts_every_query(monkeypatch):
     """A counting wrapper on the teachers' `membership` sees exactly the
-    queries the learners report."""
+    queries the learners report, whether it is set on both classes or on
+    one; the learner of a class left unwrapped stays on the row walk and
+    never reaches the per-query path."""
     calls = []
+    per_cell = []
 
     def counting(fn):
         def wrapper(self, w):
@@ -541,23 +561,39 @@ def test_wrapped_membership_counts_every_query(monkeypatch):
             return fn(self, w)
         return wrapper
 
-    monkeypatch.setattr(GkatTeacher, "membership", counting(GkatTeacher.membership))
-    monkeypatch.setattr(MooreTeacher, "membership", counting(MooreTeacher.membership))
+    def spy(fn):
+        def wrapper(self, *args):
+            per_cell.append(type(self))
+            return fn(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Teacher, "answer_row", spy(Teacher.answer_row))
+    monkeypatch.setattr(Teacher, "answer_outputs", spy(Teacher.answer_outputs))
     rng = random.Random(63)
     tests = TestSet(("b", "c"))
-    for _ in range(5):
-        target = rand_normal_automaton(rng, tests, ACTS, 5)
-        for mode in ("suffix", "optimized"):
-            for deduce in (False, True):
-                del calls[:]
-                _, stats = glstar(GkatTeacher(target), tests, ACTS,
-                                  cx_mode=mode, zero_fill=deduce)
-                assert len(calls) == stats.membership_queries
-        del calls[:]
-        _, stats = lstar_moore(
-            MooreTeacher(minimize_moore(embed_moore(target))), tests, ACTS
-        )
-        assert len(calls) == stats.membership_queries > 0
+    targets = [rand_normal_automaton(rng, tests, ACTS, 5) for _ in range(5)]
+    for wrapped in ((GkatTeacher, MooreTeacher), (GkatTeacher,), (MooreTeacher,)):
+        with monkeypatch.context() as m:
+            for cls in wrapped:
+                m.setattr(cls, "membership", counting(cls.membership))
+            for target in targets:
+                for mode in ("suffix", "optimized"):
+                    for deduce in (False, True):
+                        del calls[:], per_cell[:]
+                        _, stats = glstar(GkatTeacher(target), tests, ACTS,
+                                          cx_mode=mode, zero_fill=deduce)
+                        if GkatTeacher in wrapped:
+                            assert len(calls) == stats.membership_queries
+                        else:
+                            assert calls == per_cell == []
+                del calls[:], per_cell[:]
+                _, stats = lstar_moore(
+                    MooreTeacher(minimize_moore(embed_moore(target))), tests, ACTS
+                )
+                if MooreTeacher in wrapped:
+                    assert len(calls) == stats.membership_queries > 0
+                else:
+                    assert calls == per_cell == []
 
 
 def _query_lines(log) -> list:
