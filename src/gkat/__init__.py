@@ -50,7 +50,6 @@ from .automata import (
     GkatAutomaton,
     MooreAutomaton,
     accepts_gkat,
-    accepts_moore,
     bisimilar,
     embed_moore,
     gkat_dot,

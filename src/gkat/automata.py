@@ -154,6 +154,7 @@ class _Reading:
         moore = aut if isinstance(aut, MooreAutomaton) else embed_moore(aut)
         self.tests, self.delta, self.outputs = aut.tests.tests, moore.delta, moore.outputs
         self.index = {p: i for i, p in enumerate(aut.actions)}
+        self.asked = ((), None)  # output_rows' last atoms and their bits, None: all
         sinks = [x for x, row in enumerate(self.delta) if row.count(x) == len(row)]
         self.sink = next((x for x in reversed(sinks) if not any(self.outputs[x])), None)
 
@@ -189,25 +190,27 @@ class _Reading:
         return [0] * len(columns)
 
     def output_rows(self, x, t, columns, atoms) -> list:
-        """The output row after each letter word in columns, each read from
-        x after the letter word t; `atoms`, which end each word, are checked."""
-        x = self.walk(x, t)
+        """The output bits at `atoms` after t + e from x, for each letter word e
+        of columns; the atoms last checked are kept, canonical ones read whole rows."""
+        x, outputs, walk = self.walk(x, t), self.outputs, self.walk
         if x != self.sink:
-            rows = [self.outputs[self.walk(x, e)] for e in columns]
+            rows = [outputs[walk(x, e)] for e in columns]
         else:
-            rows = [self.outputs[self.walk(x, chain.from_iterable(columns))]] * len(columns)
-        if rows and [a.tests for a in atoms].count(self.tests) != len(atoms):
-            raise ValueError("word atoms use different tests")
-        return rows
+            rows = [outputs[walk(x, chain.from_iterable(columns))]] * len(columns)
+        asked, picked = self.asked
+        if rows and atoms != asked:
+            if any(a.tests != self.tests for a in atoms):
+                raise ValueError("word atoms use different tests")
+            picked = [a.bits for a in atoms]
+            picked = None if picked == list(range(len(outputs[0]))) else picked
+            self.asked = (list(atoms), picked)
+        return rows if picked is None else [tuple([row[i] for i in picked]) for row in rows]
 
 
 def accepts_gkat(aut, state: int, w: GuardedString) -> int:
     """1 iff a machine of either kind accepts w from the given state."""
     _check_state(aut, state)
     return aut._reading.walk(state, zip(w.atoms, w.actions), w.atoms[-1])
-
-
-accepts_moore = accepts_gkat
 
 
 def run_gkat_prefix(aut: GkatAutomaton, state: int, word) -> Optional[int]:

@@ -7,10 +7,9 @@ expressions by a product search over their guarded automata, unfolded into
 Moore machines one state at a time), and words (dump the bounded semantics).
 Each subparser sets `run` to its `cmd_<name>`, which takes the parsed
 arguments; `main` calls it inside one mapping of errors to exit codes.
-Learner events are observed only for the files written: `learn` subscribes
-to `hypothesis` for table snapshots and, under --trace, to columns, promote,
-answers (a teacher ask's QUERY lines), hypothesis and equiv; traced or not,
-the teachers are asked alike. `compare` writes only compare.csv, unobserved.
+Learner events are observed only for the files written: `learn` snapshots
+the table at each `hypothesis` and, under --trace, formats every event (an
+ask's `answers` as its QUERY lines). `compare` writes compare.csv, unobserved.
 Exit codes: 0 success or equivalent, 1 inequivalent, 2 bad input or an
 unwritable output directory, 3 capacity, 4 internal inconsistency.
 """
@@ -55,7 +54,6 @@ class RunRecord:
 
 
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
-TRACED_KINDS = ("columns", "promote", "answers", "hypothesis", "equiv")
 
 
 def _write_csv(path: Path, header, rows):
@@ -74,7 +72,7 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
 
     Learner events are observed only when there is an `out_dir` to write
     the table snapshots (and, with `args.trace`, the trace) into; without
-    the trace only `hypothesis` events are asked for.
+    the trace no event is formatted.
     """
     trace_lines = []
     tables = []
@@ -85,7 +83,6 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
         if kind == "hypothesis":
             tables.append(table.snapshot())
 
-    on_event.events = TRACED_KINDS if args.trace else ("hypothesis",)
     observe = None if out_dir is None else on_event
     actions = args.actions
     start = time.perf_counter()

@@ -16,13 +16,13 @@ once per query. `GkatTeacher` and `MooreTeacher` share a base whose row
 methods walk the target's Moore reading, checking every letter, as long as
 `membership` is the base's own function: a subclass override or a wrapper
 set on either class (a logger, a counter, a tracer) gets every query.
-Traced and untraced runs ask alike: an observer's `events` (absent or None:
-all but `answers`) only picks the events built. An ask is one `answers`
-event (prefix, tails, bits), bit i answering join(prefix, tails[i]), or a
-`query` event (word, bit) per query. A guarded ask's tails are its columns,
-a Moore ask's e·a for each of its columns e and each atom a. Query counters
-tally raw queries, with no memoization across cells; an optional
-guarded-table mode fills forced-zero cells without a query.
+An observer `on_event(kind, payload, table)` gets every event, and
+observed and unobserved runs ask alike. A non-empty ask is one `answers`
+event (prefix, tails, bits), bit i answering join(prefix, tails[i]); a
+guarded ask's tails are its columns, a Moore ask's e·a for each of its
+columns e and each atom a. Query counters tally raw queries, with no
+memoization across cells; an optional guarded-table mode fills
+forced-zero cells without a query.
 """
 from __future__ import annotations
 
@@ -77,7 +77,7 @@ class Teacher:
 
     def answer_outputs(self, t: tuple, columns: List[tuple], atoms) -> list:
         """The output row of t + e for each letter-word column e: one bit
-        per atom of `atoms`, every atom of the tests in canonical order."""
+        per atom of `atoms`, in the order given."""
         singles = [GuardedString((a,), ()) for a in atoms]
         return [tuple(self.answer_row(t + e, singles)) for e in columns]
 
@@ -140,9 +140,6 @@ def _payload_str(value) -> str:
 def format_event(kind: str, payload) -> str:
     """One trace line per learner event; an `answers` event gives one QUERY
     line per tail, joined by newlines, with the prefix rendered once."""
-    if kind == "query":
-        w, bit = payload
-        return "QUERY %s → %d" % (w, bit)
     if kind == "answers":
         prefix, tails, bits = payload
         head = "QUERY " + "".join([str(a) + p for a, p in prefix])
@@ -190,7 +187,6 @@ class ObservationTable:
         self.teacher = teacher
         self.stats = stats
         self.on_event = on_event
-        self.events = getattr(on_event, "events", None)
         self.atoms = atoms(tests)
         self.letters = letters(tests, self.actions)
         self.S = [()]
@@ -203,20 +199,9 @@ class ObservationTable:
         self._tails: List[GuardedString] = []  # a Moore table's, see its _ask
         self._emit("columns", tuple(self.E))
 
-    def _wants(self, kind) -> bool:
-        return self.on_event is not None and (self.events is None or kind in self.events)
-
     def _emit(self, kind, payload):
-        if self._wants(kind):
+        if self.on_event is not None:
             self.on_event(kind, payload, self)
-
-    def _report(self, prefix: tuple, tails: list, bits):
-        """Emit an ask, bit i answering join(prefix, tails[i]): whole, or per query."""
-        if tails and self.events is not None:
-            self._emit("answers", (prefix, tails, bits))
-        if self._wants("query"):
-            for e, bit in zip(tails, bits):
-                self.on_event("query", (join(prefix, e), bit), self)
 
     def all_rows(self) -> list:
         """The upper rows, then the fringe rows not already upper. The list
@@ -266,8 +251,6 @@ class ObservationTable:
 
     def _upper_index(self) -> Dict[tuple, int]:
         """State number of each upper row's contents; state i is S[i]."""
-        if self.unclosed_row() is not None:
-            raise NotClosedError("table has an unmatched fringe row")
         index = {self.row(s): i for i, s in enumerate(self.S)}
         if len(index) < len(self.S):
             raise InternalInconsistencyError("duplicate upper rows")
@@ -347,8 +330,8 @@ class GlObservationTable(ObservationTable):
         """The membership bit of t joined to each column, one query each."""
         bits = self.teacher.answer_row(t, columns)
         self.stats.membership_queries += len(columns)
-        if self.on_event is not None:
-            self._report(t, columns, bits)
+        if columns and self.on_event is not None:
+            self._emit("answers", (t, columns, bits))
         return bits
 
     def _fill_row(self, t: tuple, columns: List[GuardedString]):
@@ -420,12 +403,12 @@ class LStarObservationTable(ObservationTable):
         outputs = self.teacher.answer_outputs(t, columns, self.atoms)
         n = len(self.atoms)
         self.stats.membership_queries += len(columns) * n
-        if self.on_event is not None:
+        if columns and self.on_event is not None:
             for e in self.E[len(self._tails) // n:]:
                 heads, acts = zip(*e) if e else ((), ())
                 self._tails += [GuardedString(heads + (a,), acts) for a in self.atoms]
             bits = [bit for row in outputs for bit in row]
-            self._report(t, self._tails[(len(self.E) - len(columns)) * n:], bits)
+            self._emit("answers", (t, self._tails[(len(self.E) - len(columns)) * n:], bits))
         return outputs
 
     def _fill_row(self, t: tuple, columns: List[tuple]):

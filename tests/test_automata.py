@@ -14,7 +14,6 @@ from gkat import (
     NotNormalError,
     TestSet,
     accepts_gkat,
-    accepts_moore,
     atoms,
     automata,
     bisimilar,
@@ -137,7 +136,7 @@ def test_accepts_rejects_foreign_atoms():
         _gs((POS, c, NEG), ("q", "q")),
         _gs((POS, NEG, c), ("p", "q")),
     ]
-    for accepts, machine in ((accepts_gkat, f), (accepts_moore, m)):
+    for accepts, machine in ((accepts_gkat, f), (accepts_gkat, m)):
         for w in words:
             with pytest.raises(ValueError, match="different tests"):
                 accepts(machine, 0, w)
@@ -174,7 +173,7 @@ def test_moore_words_with_undeclared_actions_raise():
     m = embed_moore(fixture())
     teacher = MooreTeacher(m)
     calls = [
-        lambda: accepts_moore(m, 0, _gs((NEG, NEG), ("r",))),
+        lambda: accepts_gkat(m, 0, _gs((NEG, NEG), ("r",))),
         lambda: teacher.membership(_gs((POS, NEG, NEG), ("p", "r"))),
         lambda: teacher.answer_outputs(((NEG, "r"),), [()], [NEG, POS]),
         lambda: teacher.answer_outputs((), [((POS, "p"), (NEG, "r"))], [NEG, POS]),
@@ -206,8 +205,8 @@ def test_state_arguments_out_of_range():
         lambda: similar(f, 0, f, 3),
         lambda: accepts_gkat(f, -1, w),
         lambda: accepts_gkat(f, 3, w),
-        lambda: accepts_moore(m, -1, w),
-        lambda: accepts_moore(m, 4, w),
+        lambda: accepts_gkat(m, -1, w),
+        lambda: accepts_gkat(m, 4, w),
         lambda: run_gkat_prefix(f, -1, ()),
         lambda: run_gkat_prefix(f, 3, ()),
     ]
@@ -253,7 +252,7 @@ def test_witnesses_and_difference_words_decode_letters():
                     continue
                 assert tuple(zip(gs.atoms, gs.actions)) == word
                 bits = [
-                    (accepts_gkat if isinstance(m, GkatAutomaton) else accepts_moore)(m, m.initial, gs)
+                    accepts_gkat(m, m.initial, gs)
                     for m in (x, y)
                 ]
                 assert sorted(bits) == [0, 1]
@@ -588,7 +587,7 @@ def test_embed_preserves_acceptance():
     f = fixture()
     m = embed_moore(f)
     for w in enumerate_guarded_strings(T1, ACTS, 3):
-        assert accepts_moore(m, 0, w) == accepts_gkat(f, 0, w)
+        assert accepts_gkat(m, 0, w) == accepts_gkat(f, 0, w)
 
 
 def test_minimize_moore_merges_unrolled_states():

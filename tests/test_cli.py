@@ -530,8 +530,8 @@ def test_trace_builds_no_query_word(tmp_path, monkeypatch, capsys):
 def test_trace_changes_no_other_file(tmp_path):
     """learn writes the same DOT, table CSVs and stats rows with and without
     --trace, in every learner mode; the trace adds only the trace logs.
-    Both modes ask the teachers the same way; the trace only subscribes
-    to more event kinds."""
+    Both modes ask the teachers the same way and observe the same events;
+    only the trace formats them."""
     modes = [("b", []), ("b,c", ["--zero-fill"]), ("b,c", ["--cx", "optimized"]),
              ("b,c", ["--zero-fill", "--cx", "optimized"])]
     for i, (tests, extra) in enumerate(modes):

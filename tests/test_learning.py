@@ -32,7 +32,6 @@ from gkat import (
     parse_exp,
     word_to_str,
 )
-from gkat.cli import TRACED_KINDS
 from gkat.learning import ObservationTable
 from helpers import all_rows_from_scratch, rand_normal_automaton, snapshot_from_scratch
 
@@ -59,12 +58,23 @@ def record_events():
 
 
 def lines_of(log):
-    return [format_event(kind, payload) for kind, payload in log]
+    """The trace lines of a log, an `answers` event giving one QUERY line
+    per query."""
+    return "\n".join(format_event(kind, payload) for kind, payload in log).split("\n")
 
 
 def control_lines(log):
     return [
-        format_event(kind, payload) for kind, payload in log if kind != "query"
+        format_event(kind, payload) for kind, payload in log if kind != "answers"
+    ]
+
+
+def query_kinds(log):
+    """The event kinds of a log, an `answers` event counted as one `query`
+    per query it answers."""
+    return [
+        k for kind, payload in log
+        for k in (["query"] * len(payload[1]) if kind == "answers" else [kind])
     ]
 
 
@@ -82,7 +92,7 @@ def test_glstar_full_run_trace():
     assert stats.equivalence_queries == 2
     assert stats.hypothesis_sizes == [2, 2]
 
-    kinds = [kind for kind, _ in log]
+    kinds = query_kinds(log)
     assert kinds == (
         ["columns"]
         + ["query"] * 10
@@ -289,7 +299,7 @@ def test_lstar_full_run_trace():
     assert stats.equivalence_queries == 2
     assert stats.hypothesis_sizes == [2, 3]
 
-    kinds = [kind for kind, _ in log]
+    kinds = query_kinds(log)
     assert kinds == (
         ["columns"]
         + ["query"] * 10
@@ -399,13 +409,18 @@ def test_row_methods_equal_per_cell_membership():
                     prefixes["dies partway"] += 1
                 words = [_rand_word(rng, ats, rng.randint(0, 3))
                          for _ in range(rng.randint(0, 3))]
-                assert moore.answer_outputs(t, words, ats) == [
-                    tuple(moore.membership(GuardedString(
-                        tuple(a for a, _ in t + e) + (atom,),
-                        tuple(p for _, p in t + e),
-                    )) for atom in ats)
-                    for e in words
-                ]
+                # all atoms, reversed, a subset and a single atom, in one
+                # list changed in place between asks
+                picked = []
+                for selection in (ats, ats[::-1], ats[1:], ats[-1:]):
+                    picked[:] = selection
+                    assert moore.answer_outputs(t, words, picked) == [
+                        tuple(moore.membership(GuardedString(
+                            tuple(a for a, _ in t + e) + (atom,),
+                            tuple(p for _, p in t + e),
+                        )) for atom in picked)
+                        for e in words
+                    ]
             assert teacher.answer_row((), []) == []
             assert moore.answer_outputs((), [], ats) == []
     assert prefixes["dies partway"] and prefixes["lives"]
@@ -475,13 +490,17 @@ class _LoggingMooreTeacher(MooreTeacher):
 
 
 def _query_words(log) -> list:
-    return [payload[0] for kind, payload in log if kind == "query"]
+    """The word of each query a log's `answers` events answer, in order."""
+    return [
+        join(payload[0], e) for kind, payload in log if kind == "answers"
+        for e in payload[1]
+    ]
 
 
 def test_membership_override_sees_every_query():
     """A `membership` override is asked every query, one at a time, and an
     observer gets the same events from that per-query path as from the
-    built-in teachers' row walks, its query events in the order asked."""
+    built-in teachers' row walks, their queries in the order asked."""
     target = loop_target()
     teacher = _LoggingGkatTeacher(target)
     aut, stats = glstar(teacher, T1, ACTS)
@@ -597,9 +616,20 @@ def test_wrapped_membership_counts_every_query(monkeypatch):
 
 
 def _query_lines(log) -> list:
-    """The QUERY lines of a log, one per query, with `answers` events split."""
-    lines = "\n".join(lines_of(log)).split("\n")
-    return [line for line in lines if line.startswith("QUERY ")]
+    """The QUERY lines of a log, one per query."""
+    return [line for line in lines_of(log) if line.startswith("QUERY ")]
+
+
+class _CountingGkatTeacher(GkatTeacher):
+    """Counts the calls to its one override, `answer_row`."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.asks = 0
+
+    def answer_row(self, t, columns):
+        self.asks += 1
+        return super().answer_row(t, columns)
 
 
 class _CountingMooreTeacher(MooreTeacher):
@@ -614,77 +644,53 @@ class _CountingMooreTeacher(MooreTeacher):
         return super().answer_outputs(t, columns, atoms)
 
 
-def test_observers_get_only_the_kinds_they_subscribe_to():
-    target = loop_target()
-    full, on_full = record_events()
-    glstar(GkatTeacher(target), T1, ACTS, on_event=on_full)
-    assert "answers" not in {kind for kind, _ in full}
-    for events in (("hypothesis",), ("query", "equiv"), (), None):
-        log, on_event = record_events()
-        on_event.events = events
-        _, stats = glstar(GkatTeacher(target), T1, ACTS, on_event=on_event)
-        if events is None:
-            assert log == full
-            continue
-        assert log == [(kind, payload) for kind, payload in full if kind in events]
-        assert stats.membership_queries == 36
-    moore_target = minimize_moore(embed_moore(target))
-    full, on_full = record_events()
-    lstar_moore(MooreTeacher(moore_target), T1, ACTS, on_event=on_full)
-    log, on_event = record_events()
-    on_event.events = ("query",)
-    lstar_moore(MooreTeacher(moore_target), T1, ACTS, on_event=on_event)
-    assert log == [(kind, payload) for kind, payload in full if kind == "query"]
-    assert len(log) == 78
-    assert "answers" not in {kind for kind, _ in full}
-    # `answers` alone: one event per teacher ask, never an empty one, whose
-    # lines are exactly the full log's QUERY lines
-    runs = [
-        lambda on, mode=mode, deduce=deduce: glstar(
-            GkatTeacher(target), T1, ACTS, cx_mode=mode, zero_fill=deduce, on_event=on
-        )
-        for mode in ("suffix", "optimized") for deduce in (False, True)
-    ]
-    runs.append(lambda on: lstar_moore(MooreTeacher(moore_target), T1, ACTS, on_event=on))
-    for run in runs:
-        full, on_full = record_events()
-        run(on_full)
-        log, on_event = record_events()
-        on_event.events = ("answers",)
-        _, stats = run(on_event)
-        assert {kind for kind, _ in log} == {"answers"}
-        assert all(tails for _, (prefix, tails, bits) in log)
-        assert _query_lines(log) == _query_lines(full)
-        assert len(_query_lines(log)) == stats.membership_queries
-    log, on_event = record_events()
-    on_event.events = ("answers",)
-    table = GlObservationTable(T1, ACTS, GkatTeacher(target), QueryStats(), on_event=on_event)
-    assert table._ask((), []) == [] and log == []
-    # L*: one `answers` event per `answer_outputs` call, also for asks
-    # that span several columns, with the full log's QUERY lines
+def test_every_observer_gets_one_answers_event_per_ask():
+    """Each teacher ask reaches an observer as one non-empty `answers` event
+    whose QUERY lines are the asked words with their answers, one line per
+    membership query; an empty ask emits nothing, and `query` is no kind."""
     rng = random.Random(73)
-    tests = TestSet(("b", "c"))
-    cases = [(T1, moore_target)] + [
-        (tests, minimize_moore(embed_moore(rand_normal_automaton(rng, tests, ACTS, 5))))
-        for _ in range(5)
+    wide = TestSet(("b", "c"))
+    cases = [(T1, loop_target())] + [
+        (wide, rand_normal_automaton(rng, wide, ACTS, 5)) for _ in range(5)
     ]
-    wide = 0
-    for tests, moore_target in cases:
-        full, on_full = record_events()
-        lstar_moore(MooreTeacher(moore_target), tests, ACTS, on_event=on_full)
-        teacher = _CountingMooreTeacher(moore_target)
+    spans = 0
+    for tests, target in cases:
+        runs = [
+            (_CountingGkatTeacher(target), lambda teacher, on, mode=mode, deduce=deduce:
+             glstar(teacher, tests, ACTS, cx_mode=mode, zero_fill=deduce, on_event=on))
+            for mode in ("suffix", "optimized") for deduce in (False, True)
+        ]
+        runs.append((_CountingMooreTeacher(minimize_moore(embed_moore(target))),
+                     lambda teacher, on: lstar_moore(teacher, tests, ACTS, on_event=on)))
+        for teacher, run in runs:
+            log, on_event = record_events()
+            _, stats = run(teacher, on_event)
+            asks = [payload for kind, payload in log if kind == "answers"]
+            assert len(asks) == teacher.asks > 0
+            assert all(tails for _, tails, _ in asks)
+            assert _query_lines(log) == [
+                "QUERY %s → %d" % (w, teacher.membership(w)) for w in _query_words(log)
+            ]
+            assert len(_query_lines(log)) == stats.membership_queries
+            if isinstance(teacher, MooreTeacher):
+                spans += sum(len(tails) > len(atoms(tests)) for _, tails, _ in asks)
+    assert spans  # some L* asks cover several columns
+    target = loop_target()
+    for table_kind, teacher in (
+        (GlObservationTable, GkatTeacher(target)),
+        (LStarObservationTable, MooreTeacher(minimize_moore(embed_moore(target)))),
+    ):
         log, on_event = record_events()
-        on_event.events = ("answers",)
-        lstar_moore(teacher, tests, ACTS, on_event=on_event)
-        assert len(log) == teacher.asks > 0
-        assert _query_lines(log) == _query_lines(full)
-        wide += sum(len(tails) > len(atoms(tests)) for _, (_, tails, _) in log)
-    assert wide
+        table = table_kind(T1, ACTS, teacher, QueryStats(), on_event=on_event)
+        del log[:]
+        assert table._ask((), []) == [] and log == []
+    with pytest.raises(ValueError, match="unknown event kind"):
+        format_event("query", (GuardedString((NEG,), ()), 0))
 
 
 def test_observed_tables_hold_no_reference_cycle():
     """A finished table is freed at once, not at the next full collection,
-    also when an observer gets its query events."""
+    also when an observer gets its events."""
     import gc
     import weakref
 
@@ -832,10 +838,9 @@ def test_lstar_learns_random_targets():
 
 # ===== artifact digest =====
 
-def _learner_artifacts(rng, tests, n_targets, max_states, events=None):
+def _learner_artifacts(rng, tests, n_targets, max_states):
     """Every text artifact of both learners on a seeded corpus: trace lines,
-    table snapshots at each hypothesis, DOT of the result, query stats.
-    The observer subscribes to `events` (None: every per-query kind)."""
+    table snapshots at each hypothesis, DOT of the result, query stats."""
     out = []
 
     def on_event(kind, payload, table):
@@ -843,8 +848,6 @@ def _learner_artifacts(rng, tests, n_targets, max_states, events=None):
         if kind == "hypothesis":
             header, body = table.snapshot()
             out.extend(",".join(row) for row in [header] + body)
-
-    on_event.events = events
 
     def finish(dot, stats):
         out.append(dot)
@@ -872,20 +875,11 @@ LEARNER_ARTIFACTS_SHA256 = (
 )
 
 
-def _learner_artifacts_digest(events=None) -> str:
-    rng = random.Random(2204)
-    lines = _learner_artifacts(rng, T1, 30, 6, events)
-    lines += _learner_artifacts(rng, TestSet(("b", "c")), 10, 5, events)
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
 def test_learner_artifacts_unchanged():
     """Trace text, table snapshots and learned machines stay byte-identical."""
-    assert _learner_artifacts_digest() == LEARNER_ARTIFACTS_SHA256
+    rng = random.Random(2204)
+    lines = _learner_artifacts(rng, T1, 30, 6)
+    lines += _learner_artifacts(rng, TestSet(("b", "c")), 10, 5)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == LEARNER_ARTIFACTS_SHA256
 
-
-def test_learner_artifacts_unchanged_under_the_traced_kinds():
-    """The kinds `gkat learn --trace` subscribes to, with one `answers` event
-    per teacher ask in place of the `query` events, give the same text."""
-    assert "answers" in TRACED_KINDS and "query" not in TRACED_KINDS
-    assert _learner_artifacts_digest(TRACED_KINDS) == LEARNER_ARTIFACTS_SHA256
