@@ -121,10 +121,10 @@ class MooreAutomaton:
         n_atoms = 2 ** len(self.tests)
         width = n_atoms * len(self.actions)
         for row in self.delta:
-            if len(row) != width or any(not 0 <= y < n for y in row):
+            if len(row) != width or (row and not 0 <= min(row) <= max(row) < n):
                 raise ValueError("bad transition row: %r" % (row,))
         for row in self.outputs:
-            if len(row) != n_atoms or any(bit not in (0, 1) for bit in row):
+            if len(row) != n_atoms or row.count(0) + row.count(1) != len(row):
                 raise ValueError("bad output row: %r" % (row,))
 
     @property

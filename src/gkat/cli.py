@@ -233,7 +233,8 @@ def main(argv=None) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except (CapacityError, RecursionError, MemoryError) as exc:
-        # the parser takes any depth, but later layers recurse on deep nesting
+        # the parser and the derivative construction take any depth, but guard
+        # evaluation, bounded semantics, the KAT route and the printers recurse
         reason = str(exc) or type(exc).__name__
         print("capacity exceeded: %s" % reason, file=sys.stderr)
         return 3

@@ -13,7 +13,9 @@ instead keeps a residual as its head h, which is no Seq, and an interned
 list of the pending right operands r1, ..., rn, so residuals share their
 tails and a step adds only the few operands it exposes. The encoding is
 a bijection on trees, so residuals are identified exactly as trees
-would be.
+would be. `_Residuals.step`, the guarded derivative, walks a residual in
+one loop with its own stack and builds no tree, so only guard evaluation
+recurses on nesting.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ from .syntax import (
     _check_actions,
     atom_satisfies,
     atoms,
-    is_bexp,
     kplus,
     kseq,
     letters,
@@ -52,42 +53,6 @@ from .syntax import (
 STATE_LIMIT = 100_000
 
 _ONE = One()
-
-
-def _seq1(e: Exp, f: Exp) -> Exp:
-    # sequencing with the unit dropped, so residuals stay small
-    if isinstance(e, One):
-        return f
-    if isinstance(f, One):
-        return e
-    return Seq(e, f)
-
-
-def _step(e: Exp, atom):
-    """One-step behavior of a residual: 0, 1, or (action, next residual)."""
-    if is_bexp(e):
-        return atom_satisfies(atom, e)
-    if isinstance(e, Act):
-        return (e.name, _ONE)
-    if isinstance(e, Seq):
-        d = _step(e.left, atom)
-        if isinstance(d, tuple):
-            return (d[0], _seq1(d[1], e.right))
-        if d == 1:
-            return _step(e.right, atom)
-        return 0
-    if isinstance(e, IfThenElse):
-        if atom_satisfies(atom, e.cond):
-            return _step(e.then_branch, atom)
-        return _step(e.else_branch, atom)
-    if isinstance(e, While):
-        if not atom_satisfies(atom, e.cond):
-            return 1
-        d = _step(e.body, atom)
-        if isinstance(d, tuple):
-            return (d[0], _seq1(d[1], e))
-        return 0
-    raise TypeError("not an expression: %r" % (e,))
 
 
 class _Residuals:
@@ -114,9 +79,9 @@ class _Residuals:
         return tail
 
     def fold(self, x: Exp, tail: int):
-        """The residual x followed by the operands of tail, folded the way
-        `_seq1` folds them: a One accumulator is replaced by the next
-        operand, and One operands after it are dropped."""
+        """The residual x followed by the operands of tail, with the unit
+        dropped: a One x is replaced by the next operand, and One operands
+        after it are dropped."""
         cells = self.cells
         if isinstance(x, One):
             while tail and isinstance(cells[tail][0], One):
@@ -141,23 +106,45 @@ class _Residuals:
         return (x, tail)
 
     def step(self, residual, atom):
-        """`_step` of the residual as a tree, without building the tree."""
+        """One-step behavior of a residual: 0, 1, or (action, next residual).
+
+        One loop walks the head and stacks the operands it exposes: a Seq
+        its right operand, and a loop whose guard holds itself, as the
+        continuation of its body. A pass pops the stack, then walks the
+        tail; on an action the stack goes onto the tail, innermost first."""
         e, tail = residual
-        keys = []
+        keys, stack = [], []
+        loop = None  # stack depth with the innermost loop continuation on top
         while True:
-            d = _step(e, atom)
-            if isinstance(d, tuple):
-                d = (d[0], self.fold(d[1], tail))
+            if isinstance(e, Act):
+                for r in stack:
+                    tail = self.cons(r, tail)
+                d = (e.name, self.fold(_ONE, tail))
                 break
-            if d == 0 or not tail:
+            if isinstance(e, Seq):
+                stack.append(e.right)
+                e = e.left
+            elif isinstance(e, IfThenElse):
+                e = e.then_branch if atom_satisfies(atom, e.cond) else e.else_branch
+            elif isinstance(e, While) and atom_satisfies(atom, e.cond):
+                stack.append(e)
+                loop = len(stack)
+                e = e.body
+            elif len(stack) == loop or not (isinstance(e, While) or atom_satisfies(atom, e)):
+                d = 0  # a guard fails, or a loop body passed without an action
                 break
-            key = (tail, atom.bits)
-            hit = self.passed.get(key)
-            if hit is not None:
-                d = hit
+            elif stack:
+                e = stack.pop()
+            elif not tail:
+                d = 1
                 break
-            keys.append(key)
-            e, tail, _ = self.cells[tail]
+            else:
+                key = (tail, atom.bits)
+                d = self.passed.get(key)
+                if d is not None:
+                    break
+                keys.append(key)
+                e, tail, _ = self.cells[tail]
         for key in keys:
             self.passed[key] = d
         return d

@@ -20,10 +20,12 @@ from gkat import (
     While,
     Zero,
     accepts_gkat,
+    atom_satisfies,
     atoms,
     normalize,
     word_to_str,
 )
+from gkat.construct import _numbering, _Residuals
 from gkat.syntax import (
     KEYWORDS,
     KONE,
@@ -34,6 +36,7 @@ from gkat.syntax import (
     KTest,
     KZero,
     _check_names,
+    is_bexp,
     kat_to_str,
     kseq,
 )
@@ -453,3 +456,86 @@ def recursive_parse_bexp(text, tests):
     b = parser.parse_or()
     parser.expect("eof")
     return b
+
+
+# The recursive derivative that `_Residuals.step` replaced, kept as the
+# reference that the one-loop derivative is held to.
+
+_ONE = One()
+
+
+def _seq1(e, f):
+    # sequencing with the unit dropped, so residuals stay small
+    if isinstance(e, One):
+        return f
+    if isinstance(f, One):
+        return e
+    return Seq(e, f)
+
+
+def _step(e, atom):
+    """One-step behavior of a residual: 0, 1, or (action, next residual)."""
+    if is_bexp(e):
+        return atom_satisfies(atom, e)
+    if isinstance(e, Act):
+        return (e.name, _ONE)
+    if isinstance(e, Seq):
+        d = _step(e.left, atom)
+        if isinstance(d, tuple):
+            return (d[0], _seq1(d[1], e.right))
+        if d == 1:
+            return _step(e.right, atom)
+        return 0
+    if isinstance(e, IfThenElse):
+        if atom_satisfies(atom, e.cond):
+            return _step(e.then_branch, atom)
+        return _step(e.else_branch, atom)
+    if isinstance(e, While):
+        if not atom_satisfies(atom, e.cond):
+            return 1
+        d = _step(e.body, atom)
+        if isinstance(d, tuple):
+            return (d[0], _seq1(d[1], e))
+        return 0
+    raise TypeError("not an expression: %r" % (e,))
+
+
+class _ReferenceResiduals(_Residuals):
+    def step(self, residual, atom):
+        """`_step` of the residual as a tree, without building the tree."""
+        e, tail = residual
+        keys = []
+        while True:
+            d = _step(e, atom)
+            if isinstance(d, tuple):
+                d = (d[0], self.fold(d[1], tail))
+                break
+            if d == 0 or not tail:
+                break
+            key = (tail, atom.bits)
+            hit = self.passed.get(key)
+            if hit is not None:
+                d = hit
+                break
+            keys.append(key)
+            e, tail, _ = self.cells[tail]
+        for key in keys:
+            self.passed[key] = d
+        return d
+
+
+def reference_delta(e, tests):
+    """The `delta` of `gkat_automaton(e, tests, ...)`, built with the
+    recursive derivative; the caller allows for its recursion depth."""
+    residuals = _ReferenceResiduals()
+    number, queue = _numbering(residuals.fold(e, 0), 100_000, "residuals")
+    ats = atoms(tests)
+    delta = []
+    while queue:
+        cur = queue.popleft()
+        row = []
+        for atom in ats:
+            d = residuals.step(cur, atom)
+            row.append((d[0], number(d[1])) if isinstance(d, tuple) else d)
+        delta.append(tuple(row))
+    return tuple(delta)

@@ -99,6 +99,23 @@ def test_moore_validation():
         MooreAutomaton(T1, ACTS, ((0, 0, 0, 9),), ((0, 0),), 0)
     with pytest.raises(ValueError):
         MooreAutomaton(T1, ACTS, ((0, 0, 0, 0),), ((0, 2),), 0)
+    # every delta entry is a state and every output a bit, wherever it
+    # sits; delta rows are empty when no actions are declared
+    rows = ((0, 1, 0, 1), (1, 1, 0, 0))
+    outputs = ((0, 1), (1, 0))
+    assert MooreAutomaton(T1, ACTS, rows, outputs, 0).n_states == 2
+    bad = [
+        (((0, -1, 0, 1), rows[1]), outputs, "bad transition row"),
+        ((rows[0], (1, 1, 0, 2)), outputs, "bad transition row"),
+        (rows, (outputs[0], (1, 2)), "bad output row"),
+    ]
+    for delta, out, message in bad:
+        with pytest.raises(ValueError, match=message):
+            MooreAutomaton(T1, ACTS, delta, out, 0)
+    silent = MooreAutomaton(T1, (), ((), ()), outputs, 1)
+    assert silent.delta == ((), ())
+    with pytest.raises(ValueError, match="bad output row"):
+        MooreAutomaton(T1, (), ((), ()), ((0, 1), (2, 0)), 1)
 
 
 def test_letters_canonical_order():

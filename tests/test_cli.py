@@ -370,23 +370,38 @@ def test_deep_equiv_witness(capsys):
         )
 
 
-K = 1_000
-TOO_DEEP = {
-    "ifs": "if b then " * K + "do p" + " else do q" * K,
-    "nots": "assert " + "not " * K + "b",
-    "loops in parentheses": "while b do (" * K + "do p" + ")" * K,
+DEEP_BLOCKS = {
+    "ifs": lambda k, last: "if b then " * k + "do " + last + " else do q" * k,
+    "loops in parentheses":
+        lambda k, last: "while b do (" * k + "do " + last + ")" * k + "; do q",
 }
+
+
+def test_deep_blocks_get_a_verdict(capsys):
+    """Nested branches and loops nested in parentheses get a verdict, and
+    the witness, at 1,000 and 5,000 deep: the derivative construction
+    keeps its own stack."""
+    neg = "b" + MACRON
+    witness = {"ifs": "bp" + neg, "loops in parentheses": "bp%sq%s" % (neg, neg)}
+    for k in (1_000, 5_000):
+        for name, deep in DEEP_BLOCKS.items():
+            assert _equiv_deep(deep(k, "p"), deep(k, "p")) == 0, (name, k)
+            assert capsys.readouterr().out == "equivalent\n"
+            assert _equiv_deep(deep(k, "p"), deep(k, "r")) == 1, (name, k)
+            assert capsys.readouterr().out == "inequivalent; witness: %s\n" % witness[name]
+
+
+TOO_DEEP = "assert " + "not " * 1_000 + "b"
 
 
 def test_too_deep_equiv_is_a_capacity_limit(capsys):
     """Nesting that a recursive layer after the parser cannot take (1,000
-    nested branches, negations or parenthesized loops) exits 3, without a
+    negations, which guard evaluation recurses on) exits 3, without a
     traceback."""
-    for name, deep in TOO_DEEP.items():
-        assert _equiv_deep(deep, deep) == 3, name
-        err = capsys.readouterr().err
-        assert "capacity" in err, name
-        assert "Traceback" not in err, name
+    assert _equiv_deep(TOO_DEEP, TOO_DEEP) == 3
+    err = capsys.readouterr().err
+    assert "capacity" in err
+    assert "Traceback" not in err
 
 
 def _equiv_by_minimization(a1, a2):
@@ -464,7 +479,7 @@ def test_exit_code_contract(tmp_path, capsys):
         return rng.choice(good if rng.random() < 0.7 else bad)
 
     exprs = (["do p", "while b do do p", "if b then do p else do q"],
-             ["do r", "assert c", "while b do", "(do p", "", TOO_DEEP["ifs"]])
+             ["do r", "assert c", "while b do", "(do p", "", TOO_DEEP])
     for _ in range(100):
         command = rng.choice(["learn", "compare", "equiv", "words"])
         argv = [command, "--expr", pick(*exprs),

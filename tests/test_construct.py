@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -26,7 +27,13 @@ from gkat import (
 )
 from gkat.construct import _kat_deriv
 from gkat.syntax import KONE, KZERO, kplus
-from helpers import enumerate_guarded_strings, kplus_by_text, rand_exp, rand_kat
+from helpers import (
+    enumerate_guarded_strings,
+    kplus_by_text,
+    rand_exp,
+    rand_kat,
+    reference_delta,
+)
 
 T1 = TestSet(("b",))
 ACTS = ("p", "q")
@@ -211,6 +218,44 @@ def test_constructions_unchanged():
     assert _digest(lines) == (
         "19dacbbf16c5451ca3a01ff6fa92fe8c25bd60788659da02096a5f2cc5646339"
     )
+
+
+def _deep_families(k):
+    """Programs nested k deep: ifs, loops in parentheses, sequenced loops,
+    `assert 1` operands, and loop bodies that can pass without an action.
+    With `act` = "do p; " each level acts before it nests, so there are
+    about k residuals; without it one step walks all k levels."""
+    guards = ["b", "b or c", "c", "c or not b"]
+    texts = []
+    for act in ("", "do p; "):
+        loops = "".join("while %s do (%s" % (guards[i % 4], act) for i in range(k))
+        texts += [
+            ("if b then (" + act) * k + "do q" + ") else assert c" * k,
+            loops + "do q" + ")" * k + "; do q",
+            ("while b do (assert 1; " + act) * k + "do q" + "; assert 1)" * k + "; assert 1",
+            ("while b do (if c then (" + act) * k + "do q" + ") else assert 1)" * k,
+        ]
+    return texts + [_nested_loops(k)]
+
+
+def test_derivative_matches_recursive_reference():
+    """The one-loop derivative builds the automata of the recursive `_step`
+    it replaced, on seeded random programs and on families nested up to
+    800 deep (the reference recurses, so its limit is raised)."""
+    rng = random.Random(2121)
+    for tests in (T1, T2):
+        for _ in range(150):
+            e = rand_exp(rng, tests, ACTS, depth=5)
+            assert gkat_automaton(e, tests, ACTS).delta == reference_delta(e, tests), str(e)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        for k in (1, 2, 5, 40, 800):
+            for text in _deep_families(k):
+                e = parse_exp(text, T2, ACTS)
+                assert gkat_automaton(e, T2, ACTS).delta == reference_delta(e, T2), (k, text[:40])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_kat_machines_at_depth_unchanged():
