@@ -130,8 +130,11 @@ class _Residuals:
                 stack.append(e)
                 loop = len(stack)
                 e = e.body
-            elif len(stack) == loop or not (isinstance(e, While) or atom_satisfies(atom, e)):
-                d = 0  # a guard fails, or a loop body passed without an action
+            elif len(stack) == loop:
+                d = 0  # a loop body passed without an action
+                break
+            elif not isinstance(e, While) and not atom_satisfies(atom, e):
+                d = 0  # a test fails (a While here is one whose guard failed)
                 break
             elif stack:
                 e = stack.pop()

@@ -404,6 +404,24 @@ def test_too_deep_equiv_is_a_capacity_limit(capsys):
     assert "Traceback" not in err
 
 
+def test_deep_blocks_are_a_capacity_limit_past_the_derivative(tmp_path, capsys):
+    """The layers that still recurse per nested block (the bounded semantics
+    behind words, the KAT route behind L* and compare) exit 3 on 1,000
+    nested branches or parenthesized loops, without a traceback."""
+    base = ["--tests", "b", "--actions", "p,q", "--out-dir", str(tmp_path)]
+    commands = {
+        "words": ["words", "--max-actions", "1", "--tests", "b", "--actions", "p,q"],
+        "lstar": ["learn", "--algo", "lstar"] + base,
+        "compare": ["compare"] + base,
+    }
+    for name, deep in DEEP_BLOCKS.items():
+        for command, argv in commands.items():
+            assert main(argv + ["--expr", deep(1_000, "p")]) == 3, (name, command)
+            err = capsys.readouterr().err
+            assert "capacity" in err, (name, command)
+            assert "Traceback" not in err, (name, command)
+
+
 def _equiv_by_minimization(a1, a2):
     """Verdict and witness by the earlier route: minimize both sides, test
     isomorphism, and take the witness from bisimilar."""
@@ -479,7 +497,8 @@ def test_exit_code_contract(tmp_path, capsys):
         return rng.choice(good if rng.random() < 0.7 else bad)
 
     exprs = (["do p", "while b do do p", "if b then do p else do q"],
-             ["do r", "assert c", "while b do", "(do p", "", TOO_DEEP])
+             ["do r", "assert c", "while b do", "(do p", "",
+              DEEP_BLOCKS["ifs"](1_000, "p"), TOO_DEEP])
     for _ in range(100):
         command = rng.choice(["learn", "compare", "equiv", "words"])
         argv = [command, "--expr", pick(*exprs),
