@@ -3,7 +3,8 @@
 Both constructions take syntactic derivatives and explore the reachable
 residuals breadth-first: guarded expressions become guarded automata
 directly, and plain KAT terms become Moore machines via Brzozowski-style
-derivatives over (atom, action) letters.
+derivatives over (atom, action) letters. A KAT product is a head and a
+shared tail, so the derivative d(head)·tail of a product copies no tail.
 
 A guarded residual is a left-nested sequence Seq(...Seq(Seq(h, r1), r2)
 ..., rn): each loop turn wraps the residual in one more Seq, so on n
@@ -43,6 +44,7 @@ from .syntax import (
     TestSet,
     While,
     _check_actions,
+    _factors,
     atom_satisfies,
     atoms,
     kplus,
@@ -211,7 +213,7 @@ def _kat_eps(k: KatExp, atom) -> int:
                 return 1
         return 0
     if isinstance(k, KSeq):
-        for part in k.parts:
+        for part in _factors(k):
             if not _kat_eps(part, atom):
                 return 0
         return 1
@@ -226,10 +228,9 @@ def _kat_deriv(k: KatExp, atom, action: str) -> KatExp:
     if isinstance(k, KPlus):
         return kplus(*[_kat_deriv(t, atom, action) for t in k.terms])
     if isinstance(k, KSeq):
-        head, tail = k.parts[0], k.parts[1] if len(k.parts) == 2 else KSeq(k.parts[1:])
-        first = kseq(_kat_deriv(head, atom, action), tail)
-        if _kat_eps(head, atom):
-            return kplus(first, _kat_deriv(tail, atom, action))
+        first = kseq(_kat_deriv(k.head, atom, action), k.tail)
+        if _kat_eps(k.head, atom):
+            return kplus(first, _kat_deriv(k.tail, atom, action))
         return first
     if isinstance(k, KStar):
         return kseq(_kat_deriv(k.arg, atom, action), k)

@@ -200,7 +200,7 @@ def _check_actions(e, actions) -> None:
         elif isinstance(x, KPlus):
             stack += x.terms
         elif isinstance(x, KSeq):
-            stack += x.parts
+            stack += (x.head, x.tail)
         elif isinstance(x, KStar):
             stack.append(x.arg)
     _check_declared(used, actions)
@@ -410,7 +410,8 @@ class KPlus(KatExp):
 
 @_hash_once
 class KSeq(KatExp):
-    parts: Tuple[KatExp, ...]
+    head: KatExp  # the first factor: never a product, 0 or 1
+    tail: KatExp  # the product of the rest, shared, or the last factor
 
 
 @_hash_once
@@ -422,23 +423,26 @@ KZERO = KZero()
 KONE = KOne()
 
 
+def _factors(k: KatExp):
+    """The factors of a product in order; any other term is its one factor."""
+    while isinstance(k, KSeq):
+        yield k.head
+        k = k.tail
+    yield k
+
+
 def kseq(*parts: KatExp) -> KatExp:
-    """Sequential product, flattened, with 0 annihilating and 1 dropped."""
-    flat = []
+    """Flattened product: 0 annihilates, 1 drops out, a last product stays the tail."""
+    heads, tail = [], KONE
     for k in parts:
         if isinstance(k, KZero):
             return KZERO
-        if isinstance(k, KOne):
-            continue
-        if isinstance(k, KSeq):
-            flat.extend(k.parts)
-        else:
-            flat.append(k)
-    if not flat:
-        return KONE
-    if len(flat) == 1:
-        return flat[0]
-    return KSeq(tuple(flat))
+        if not isinstance(k, KOne):
+            heads += _factors(tail) if tail is not KONE else ()
+            tail = k
+    for head in reversed(heads):
+        tail = KSeq(head, tail)
+    return tail
 
 
 def kplus(*terms: KatExp) -> KatExp:
@@ -563,7 +567,7 @@ def _kat_str(k, level):
     if isinstance(k, KStar):
         return _kat_str(k.arg, 2) + "*"
     if isinstance(k, KSeq):
-        s = "·".join(_kat_str(p, 1) for p in k.parts)
+        s = "·".join(_kat_str(p, 1) for p in _factors(k))
         return "(" + s + ")" if level > 0 else s
     if isinstance(k, KPlus):
         s = " + ".join(_kat_str(t, 1) for t in sorted(k.terms, key=kat_to_str))

@@ -21,12 +21,14 @@ from gkat import (
     member,
     minimize,
     minimize_moore,
+    moore_difference_gs,
     moore_isomorphic,
+    normalize,
     parse_exp,
     unrolled_while_automaton,
 )
 from gkat.construct import _kat_deriv
-from gkat.syntax import KONE, KZERO, kplus
+from gkat.syntax import KONE, KZERO, KAct, KSeq, KStar, kplus, kseq
 from helpers import (
     enumerate_guarded_strings,
     kplus_by_text,
@@ -129,6 +131,22 @@ def test_kat_route_matches_direct_route():
         direct = minimize_moore(embed_moore(gkat_automaton(e, T1, ACTS)))
         via_kat = minimize_moore(kat_moore_automaton(embed_kat(e), T1, ACTS))
         assert moore_isomorphic(direct, via_kat)[0] == 1, str(e)
+
+
+def test_products_share_their_tails():
+    """A product is its first factor and the product of the rest: kseq
+    keeps a product in last place as the tail itself, and a derivative of
+    a product whose head steps ends in that product's own tail."""
+    p, q, r = KAct("p"), KAct("q"), KAct("r")
+    t = kseq(q, r)
+    assert kseq(p, t).tail is t
+    assert kseq(kseq(p, q), t) == KSeq(p, KSeq(q, t))
+    assert kseq(kseq(p, q), t).tail.tail is t
+    atom = atoms(T1)[0]
+    assert _kat_deriv(kseq(p, t), atom, "p") is t
+    k = kseq(KStar(p), q, r)
+    d = _kat_deriv(k, atom, "p")
+    assert d == KSeq(KStar(p), k.tail) and d.tail is k.tail
 
 
 def test_kat_capacity_limit():
@@ -268,6 +286,19 @@ def test_kat_machines_at_depth_unchanged():
     assert _digest(lines) == (
         "5f9d016dc62451632c3d6a8df709fe87ea5cfd8f88260cb38eedc9f0d96b6667"
     )
+
+
+def test_kat_route_agrees_with_guarded_route_at_depth():
+    """At k=300 sequenced loops the KAT machine has the language of the
+    guarded automaton, and against the same loops ending in `do r` the
+    difference search finds the shortest witness."""
+    k, acts = 300, ("p", "q", "r")
+    e = parse_exp(_nested_loops(k), T1, acts)
+    er = parse_exp(_nested_loops(k).replace("do q", "do r"), T1, acts)
+    via_kat = kat_moore_automaton(embed_kat(e), T1, acts)
+    assert moore_difference_gs(via_kat, normalize(gkat_automaton(e, T1, acts))) is None
+    witness = moore_difference_gs(via_kat, normalize(gkat_automaton(er, T1, acts)))
+    assert str(witness) == "bp" * k + "b\u0304qb\u0304"
 
 
 def test_kat_construction_prints_nothing(monkeypatch):

@@ -382,7 +382,7 @@ def test_kseq_units():
     assert kseq(KONE, p, KONE) == p
     assert kseq(p, KZERO) == KZERO
     assert kseq() == KONE
-    assert kseq(kseq(p, p), p) == KSeq((p, p, p))
+    assert kseq(kseq(p, p), p) == KSeq(p, KSeq(p, p))
 
 
 def test_kplus_aci():
@@ -430,7 +430,7 @@ def test_node_hash_is_fixed_at_construction():
         Zero(), One(), b, Not(b), And(b, One()), Or(Zero(), b), Act("p"),
         Seq(Act("p"), b), IfThenElse(b, Act("p"), One()), While(b, Act("p")),
         KZERO, KONE, KTest(b), KAct("p"), KPlus((KONE, KAct("p"))),
-        KSeq((KAct("p"), KAct("q"))), KStar(KAct("p")), *atoms(TestSet(("b", "c"))),
+        KSeq(KAct("p"), KAct("q")), KStar(KAct("p")), *atoms(TestSet(("b", "c"))),
     ]
     for node in nodes:
         values = tuple(getattr(node, f.name) for f in fields(node) if f.compare)
