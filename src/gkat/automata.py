@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import NotNormalError
@@ -146,17 +145,15 @@ class _Reading:
     """A machine's Moore reading, built once per machine (`_reading`):
     delta[x][a.bits * len(actions) + index[p]] is the state after letter
     (a, p) and outputs[x] the output row; a guarded machine reads as its
-    `embed_moore`. Every word reads 0 from the sink, the last state that
-    loops on every letter and outputs 0, so the row methods only check
-    the letters of the columns they read from there."""
+    `embed_moore`. The row methods answer a row from the state its prefix
+    reaches, so `asked` keeps the last column list (and atoms) asked, as
+    copies, with the answers of each state reached under them."""
 
     def __init__(self, aut):
         moore = aut if isinstance(aut, MooreAutomaton) else embed_moore(aut)
         self.tests, self.delta, self.outputs = aut.tests.tests, moore.delta, moore.outputs
         self.index = {p: i for i, p in enumerate(aut.actions)}
-        self.asked = ((), None)  # output_rows' last atoms and their bits, None: all
-        sinks = [x for x, row in enumerate(self.delta) if row.count(x) == len(row)]
-        self.sink = next((x for x in reversed(sinks) if not any(self.outputs[x])), None)
+        self.asked = ((), None, {})  # columns, atoms (None: accepts), answers by state
 
     def walk(self, x, word, last=None):
         """The state reached from x by a word of (atom, action) letters, or the
@@ -173,38 +170,34 @@ class _Reading:
             raise ValueError("word atoms use different tests")
         return x if last is None else self.outputs[x][last.bits]
 
+    def _answers(self, columns, atoms) -> dict:
+        """The answers by reached state for these columns and atoms; a new
+        column list or atoms list starts an empty dict."""
+        if columns != self.asked[0] or atoms != self.asked[1]:
+            self.asked = (list(columns), None if atoms is None else list(atoms), {})
+        return self.asked[2]
+
     def accepts(self, x, t, columns) -> list:
         """The output bit at the end of each guarded string in columns,
         each read from x after the letter word t."""
-        x = self.walk(x, t)
-        if x != self.sink:
-            return [self.walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
-        tests, index = self.tests, self.index
-        for e in columns:
-            for atom in e.atoms:
-                if atom.tests is not tests and atom.tests != tests:
-                    raise ValueError("word atoms use different tests")
-            for p in e.actions:
-                if p not in index:
-                    _check_declared((p,), index)
-        return [0] * len(columns)
+        x, answers = self.walk(x, t), self._answers(columns, None)
+        if x not in answers:
+            answers[x] = [self.walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
+        return answers[x].copy()
 
     def output_rows(self, x, t, columns, atoms) -> list:
         """The output bits at `atoms` after t + e from x, for each letter word e
-        of columns; the atoms last checked are kept, canonical ones read whole rows."""
-        x, outputs, walk = self.walk(x, t), self.outputs, self.walk
-        if x != self.sink:
-            rows = [outputs[walk(x, e)] for e in columns]
-        else:
-            rows = [outputs[walk(x, chain.from_iterable(columns))]] * len(columns)
-        asked, picked = self.asked
-        if rows and atoms != asked:
-            if any(a.tests != self.tests for a in atoms):
+        of columns; canonical atoms read whole rows."""
+        x, answers, outputs = self.walk(x, t), self._answers(columns, atoms), self.outputs
+        if x not in answers:
+            rows = [outputs[self.walk(x, e)] for e in columns]
+            if rows and any(a.tests != self.tests for a in atoms):
                 raise ValueError("word atoms use different tests")
             picked = [a.bits for a in atoms]
-            picked = None if picked == list(range(len(outputs[0]))) else picked
-            self.asked = (list(atoms), picked)
-        return rows if picked is None else [tuple([row[i] for i in picked]) for row in rows]
+            if rows and picked != list(range(len(outputs[0]))):
+                rows = [tuple([row[i] for i in picked]) for row in rows]
+            answers[x] = rows
+        return answers[x].copy()
 
 
 def accepts_gkat(aut, state: int, w: GuardedString) -> int:

@@ -5,8 +5,9 @@ per-round table CSVs, trace, stats), compare (sweep the test-set size and
 tabulate query counts for both learners), equiv (decide equivalence of two
 expressions by a product search over their guarded automata, unfolded into
 Moore machines one state at a time), and words (dump the bounded semantics).
-Each subparser sets `run` to its `cmd_<name>`, which takes the parsed
-arguments; `main` calls it inside one mapping of errors to exit codes.
+The parser is built once per process. `main` looks up `cmd_<command>`
+by name on every call, so a patched command is the one that runs, and
+calls it inside one mapping of errors to exit codes.
 Learner events are observed only for the files written: `learn` snapshots
 the table at each `hypothesis` and, under --trace, formats every event (an
 ask's `answers` as its QUERY lines). `compare` writes compare.csv, unobserved.
@@ -20,6 +21,7 @@ import csv
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Tuple
 
@@ -182,6 +184,7 @@ def _names(raw: str) -> Tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkat",
@@ -189,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, expr2=False):
+    def command(name, help, expr2=False):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
         p.add_argument("--expr", required=True, help="program text")
         if expr2:
             p.add_argument("--expr2", required=True, help="second program text")
@@ -206,20 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cx", choices=("suffix", "optimized"), default="suffix")
         p.add_argument("--zero-fill", action="store_true")
 
-    learn = command("learn", cmd_learn, "learn an automaton from an expression")
+    learn = command("learn", "learn an automaton from an expression")
     learner_options(learn, "glstar")
     learn.add_argument("--out-dir", default="gkat_out")
     learn.add_argument("--trace", action="store_true")
 
-    compare = command("compare", cmd_compare, "sweep the test count, tally queries")
+    compare = command("compare", "sweep the test count, tally queries")
     learner_options(compare, "both")
     compare.add_argument("--sweep", type=int, default=1)
     compare.add_argument("--out-dir", default="gkat_out")
     compare.set_defaults(trace=False)
 
-    command("equiv", cmd_equiv, "decide equivalence of two expressions", expr2=True)
+    command("equiv", "decide equivalence of two expressions", expr2=True)
 
-    words = command("words", cmd_words, "dump the bounded semantics of an expression")
+    words = command("words", "dump the bounded semantics of an expression")
     words.add_argument("--max-actions", type=int, default=3)
 
     return parser
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return globals()["cmd_" + args.command](args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

@@ -13,15 +13,17 @@ Each table reaches its teacher in one method, `_ask`: one call answers a
 row's missing cells, `answer_row` for guarded-string columns and
 `answer_outputs` for letter-word ones, which by default ask `membership`
 once per query. `GkatTeacher` and `MooreTeacher` share a base whose row
-methods walk the target's Moore reading, checking every letter, as long as
-`membership` is the base's own function: a subclass override or a wrapper
-set on either class (a logger, a counter, a tracer) gets every query.
+methods answer a row from the state of the target's Moore reading that its
+prefix reaches, walking each state's answers once per column list and
+checking every letter, as long as `membership` is the base's own function:
+a subclass override or a wrapper set on either class (a logger, a counter,
+a tracer) gets every query.
 An observer `on_event(kind, payload, table)` gets every event, and
 observed and unobserved runs ask alike. A non-empty ask is one `answers`
 event (prefix, tails, bits), bit i answering join(prefix, tails[i]); a
 guarded ask's tails are its columns, a Moore ask's e·a for each of its
-columns e and each atom a. Query counters tally raw queries, with no
-memoization across cells; an optional guarded-table mode fills
+columns e and each atom a. Query counters tally every cell a table asks,
+however the teacher answers it; an optional guarded-table mode fills
 forced-zero cells without a query.
 """
 from __future__ import annotations

@@ -458,6 +458,20 @@ def test_equiv_agrees_with_minimization_route(capsys):
         )
 
 
+def test_main_runs_a_command_patched_between_calls(monkeypatch, capsys):
+    """The parser is built once per process, yet each call of `main` runs
+    the command bound to its name at that moment."""
+    argv = ["equiv", "--expr", "do p", "--expr2", "do p", "--tests", "b",
+            "--actions", "p"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    seen = []
+    monkeypatch.setattr(gkat.cli, "cmd_equiv", lambda args: seen.append(args) or 7)
+    assert main(argv) == 7
+    assert [(a.command, a.expr, a.expr2) for a in seen] == [("equiv", "do p", "do p")]
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_error_is_systemexit():
     with pytest.raises(SystemExit) as info:
         main(["learn", "--tests", "b", "--actions", "p"])

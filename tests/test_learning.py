@@ -371,6 +371,117 @@ def _rand_gs(rng, ats):
     )
 
 
+class _PerCell(Teacher):
+    """The per-cell fallback of `Teacher` on another teacher's membership."""
+
+    def __init__(self, teacher):
+        self.membership = teacher.membership
+
+
+def _reached(machine, t):
+    """The state of the machine's Moore reading that the letter word t
+    reaches; a guarded machine reads as its `embed_moore`."""
+    from gkat import MooreAutomaton, letters
+
+    moore = machine if isinstance(machine, MooreAutomaton) else embed_moore(machine)
+    alphabet = letters(machine.tests, machine.actions)
+    x = moore.initial
+    for letter in t:
+        x = moore.delta[x][alphabet.index(letter)]
+    return x, moore
+
+
+def _error_text(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_row_methods_answer_from_the_reached_state():
+    """On a GL* and an L* target, rows that reach one state, rows at the
+    sink, a column list changed in place and an atoms list reordered
+    between asks all get the per-cell answers; the answers handed out are
+    copies; a bad column raises the same text on every ask, from any row,
+    and its letters are checked before the atoms."""
+    from gkat import Atom, embed_kat, kat_moore_automaton, letters
+
+    tests = TestSet(("b", "c"))
+    ats = atoms(tests)
+    e = parse_exp("(while b do (if c then do p else do q)); do p; assert c", tests, ACTS)
+    targets = (
+        GkatTeacher(normalize(gkat_automaton(e, tests, ACTS))),
+        MooreTeacher(kat_moore_automaton(embed_kat(e), tests, ACTS)),
+    )
+    alphabet = letters(tests, ACTS)
+    rows = [()] + [(x,) for x in alphabet] + [(x, y) for x in alphabet for y in alphabet]
+    for teacher in targets:
+        ref = _PerCell(teacher)
+        by_state, sinks = {}, set()
+        for t in rows:
+            x, moore = _reached(teacher.target, t)
+            by_state.setdefault(x, []).append(t)
+            if set(moore.delta[x]) == {x} and not any(moore.outputs[x]):
+                sinks.add(x)
+        assert sinks & by_state.keys() and max(map(len, by_state.values())) > 1
+        columns = [GuardedString((a,), ()) for a in ats] + [
+            GuardedString((a, b), (p,)) for a in ats for b in ats[:2] for p in ACTS
+        ]
+        words = [(), ((ats[0], "p"),), ((ats[3], "q"), (ats[1], "p")), ((ats[2], "q"),)]
+        picked = list(ats)
+
+        def answers():
+            return ([ref.answer_row(t, columns) for t in rows],
+                    [ref.answer_outputs(t, words, picked) for t in rows])
+
+        def ask_rows():
+            for t in rows:
+                got = teacher.answer_row(t, columns)
+                assert got == ref.answer_row(t, columns)
+                got.append(2)
+
+        def ask_outputs():
+            for t in rows:
+                got = teacher.answer_outputs(t, words, picked)
+                assert got == ref.answer_outputs(t, words, picked)
+                got.append(())
+
+        # each change is made in place between two asks of one method and
+        # alters some per-cell answer
+        rounds = [
+            (ask_rows, [columns.reverse, lambda: columns.append(columns[-1])]),
+            (ask_outputs, [
+                picked.reverse,
+                lambda: words.__setitem__(slice(None), words[1:] + words[:1]),
+            ]),
+        ]
+        for ask, changes in rounds:
+            ask()
+            for change in changes:
+                before = answers()
+                change()
+                assert answers() != before
+                ask()
+
+        sink_row = by_state[min(sinks & by_state.keys())][0]
+        live_rows = [ts[-1] for x, ts in by_state.items() if x not in sinks]
+        bad_column = [columns[0], GuardedString((ats[0], ats[3]), ("r",))]
+        bad_word = [words[0], ((ats[1], "p"), (ats[2], "r"))]
+        other_tests = [Atom(("b",), 1)]
+        asks = [
+            (lambda t: teacher.answer_row(t, bad_column), "undeclared actions: r"),
+            (lambda t: teacher.answer_outputs(t, bad_word, ats), "undeclared actions: r"),
+            (lambda t: teacher.answer_outputs(t, bad_word, other_tests),
+             "undeclared actions: r"),
+            (lambda t: teacher.answer_outputs(t, words, other_tests),
+             "word atoms use different tests"),
+        ]
+        for bad_ask, text in asks:
+            for t in live_rows + [sink_row] + live_rows:
+                assert _error_text(lambda: bad_ask(t)) == text
+        for t in live_rows + [sink_row]:
+            assert _error_text(lambda: ref.answer_row(t, bad_column)) == asks[0][1]
+
+
 def _rand_moore(rng, tests, n):
     from gkat import MooreAutomaton
 
