@@ -235,8 +235,8 @@ def main(argv=None) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except (CapacityError, RecursionError, MemoryError) as exc:
-        # the parser and the derivative construction take any depth, but guard
-        # evaluation, bounded semantics, the KAT route and the printers recurse
+        # the parser, guarded derivatives, guard evaluation and the printers
+        # take any depth, but the bounded semantics and the KAT route recurse
         reason = str(exc) or type(exc).__name__
         print("capacity exceeded: %s" % reason, file=sys.stderr)
         return 3

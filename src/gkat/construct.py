@@ -14,9 +14,8 @@ instead keeps a residual as its head h, which is no Seq, and an interned
 list of the pending right operands r1, ..., rn, so residuals share their
 tails and a step adds only the few operands it exposes. The encoding is
 a bijection on trees, so residuals are identified exactly as trees
-would be. `_Residuals.step`, the guarded derivative, walks a residual in
-one loop with its own stack and builds no tree, so only guard evaluation
-recurses on nesting.
+would be. `_Residuals.step`, the guarded derivative, and guard evaluation
+are loops with their own stacks, and the step builds no tree.
 """
 from __future__ import annotations
 

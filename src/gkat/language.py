@@ -100,12 +100,7 @@ def _denote(e, k, ats, cap):
         prefixes = {_single(a) for a in ats}
         frontier = set(prefixes)
         while frontier:
-            new = set()
-            for v in frontier:
-                for w in guarded:
-                    u = fuse(v, w)
-                    if u is not None and u.n_actions <= k and u not in prefixes:
-                        new.add(u)
+            new = _fuse_sets(frontier, guarded, k, cap) - prefixes
             prefixes |= new
             if len(prefixes) > cap:
                 raise CapacityError("bounded language exceeds %d words" % cap)

@@ -3,9 +3,9 @@
 Boolean guards, program expressions, atoms (truth assignments over the
 declared tests), guarded strings with fusion, letter words (tuples of
 (atom, action) pairs, the dangling prefixes of guarded strings) with
-`letters`, `join` and `word_to_str`, pretty printers, the embedding into
-plain KAT terms, and the parser of the imperative syntax, whose loops
-over explicit stacks take programs nested to any depth.
+`letters`, `join` and `word_to_str`, the embedding into plain KAT terms,
+guard evaluation, the printers and the parser of the imperative syntax;
+the last three are loops over explicit stacks and take any depth.
 
 Expression, guard and KAT term nodes are immutable, and each node's hash
 is fixed at construction from its children's stored hashes. Hashing a
@@ -281,20 +281,32 @@ def letters(tests: TestSet, actions: Tuple[str, ...]) -> List[Tuple[Atom, str]]:
 
 
 def atom_satisfies(atom: Atom, b: BExp) -> int:
-    """Evaluate a guard under an atom; returns 0 or 1."""
-    if isinstance(b, Zero):
-        return 0
-    if isinstance(b, One):
-        return 1
-    if isinstance(b, Test):
+    """Evaluate a guard under an atom; returns 0 or 1. One loop: on the stack
+    a compound guard's class lies below its operands and combines their values."""
+    if b.__class__ is Test:
         return int(atom.value(b.name))
-    if isinstance(b, Not):
-        return 1 - atom_satisfies(atom, b.arg)
-    if isinstance(b, And):
-        return atom_satisfies(atom, b.left) & atom_satisfies(atom, b.right)
-    if isinstance(b, Or):
-        return atom_satisfies(atom, b.left) | atom_satisfies(atom, b.right)
-    raise TypeError("not a guard: %r" % (b,))
+    stack, values = [b], []
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is Test:
+            values.append(int(atom.value(x.name)))
+        elif cls is Not and x.arg.__class__ is Test:
+            values.append(1 - atom.value(x.arg.name))
+        elif cls is Not:
+            stack += (Not, x.arg)
+        elif cls is And or cls is Or:
+            stack += (cls, x.right, x.left)
+        elif cls is One or cls is Zero:
+            values.append(int(cls is One))
+        elif x is Not:
+            values[-1] ^= 1
+        elif x is And or x is Or:
+            v = values.pop()
+            values[-1] = values[-1] & v if x is And else values[-1] | v
+        else:
+            raise TypeError("not a guard: %r" % (x,))
+    return values[0]
 
 
 # ===== Guarded strings =====
@@ -503,76 +515,70 @@ def embed_kat(e: Exp) -> KatExp:
 
 # ===== Pretty printers =====
 
+# Context levels: a guard under or, and or not; a statement, or the left
+# operand of ";"; a KAT term in a sum, the tail of a product, or a factor.
+_OR, _AND, _NOT, _STMT, _LEFT, _SUM, _TAIL, _FACTOR = range(8)
+
+# Per node class: the highest context level at which it prints without
+# brackets, and its parts in order: a text, or a (child, level) pair.
+_SYNTAX = {
+    Zero: (_FACTOR, lambda x: ("0",)),
+    One: (_FACTOR, lambda x: ("1",)),
+    Test: (_FACTOR, lambda x: (x.name,)),
+    Not: (_NOT, lambda x: ("not ", (x.arg, _NOT))),
+    And: (_AND, lambda x: ((x.left, _AND), " and ", (x.right, _NOT))),
+    Or: (_OR, lambda x: ((x.left, _OR), " or ", (x.right, _AND))),
+    Act: (_FACTOR, lambda x: ("do " + x.name,)),
+    Seq: (_STMT, lambda x: ((x.left, _LEFT), "; ", (x.right, _STMT))),
+    IfThenElse: (_STMT, lambda x: ("if ", (x.cond, _OR), " then ", (x.then_branch, _STMT),
+                                   " else ", (x.else_branch, _STMT))),
+    While: (_STMT, lambda x: ("while ", (x.cond, _OR), " do ", (x.body, _STMT))),
+    KZero: (_FACTOR, lambda x: ("0",)),
+    KOne: (_FACTOR, lambda x: ("1",)),
+    KTest: (_FACTOR, lambda x: ("[", (x.arg, _OR), "]")),
+    KAct: (_FACTOR, lambda x: (x.name,)),
+    KStar: (_FACTOR, lambda x: ((x.arg, _FACTOR), "*")),
+    KSeq: (_TAIL, lambda x: ((x.head, _FACTOR), "·", (x.tail, _TAIL))),
+    KPlus: (_SUM, lambda x: [part for t in sorted(x.terms, key=kat_to_str)
+                             for part in (" + ", (t, _FACTOR))][1:]),
+}
+
+
+def _parts(x, level):
+    """The parts of node x at context `level`, bracketed if x binds looser
+    than the context wants; a guard in a statement's place is an assert."""
+    if _STMT <= level <= _LEFT and isinstance(x, BExp):
+        return ("assert ", (x, _OR))
+    bare, parts = _SYNTAX[x.__class__]
+    return ("(", *parts(x), ")") if level > bare else parts(x)
+
+
+def _print(x, level):
+    """The text of node x at context `level`: one loop over an explicit
+    stack of parts, so trees of any depth print. A sum's terms are sorted
+    by their printed text, so sums nested in sums enter this loop again,
+    once per level."""
+    out, stack = [], [(x, level)]
+    while stack:
+        part = stack.pop()
+        if part.__class__ is str:
+            out.append(part)
+        else:
+            stack += reversed(_parts(*part))
+    return "".join(out)
+
 
 def bexp_to_str(b: BExp) -> str:
-    return _bexp_str(b, 0)
-
-
-def _bexp_str(b, level):
-    # levels: 0 = or, 1 = and, 2 = not, 3 = primitive
-    if isinstance(b, Zero):
-        return "0"
-    if isinstance(b, One):
-        return "1"
-    if isinstance(b, Test):
-        return b.name
-    if isinstance(b, Not):
-        s = "not " + _bexp_str(b.arg, 2)
-        return "(" + s + ")" if level > 2 else s
-    if isinstance(b, And):
-        s = _bexp_str(b.left, 1) + " and " + _bexp_str(b.right, 2)
-        return "(" + s + ")" if level > 1 else s
-    if isinstance(b, Or):
-        s = _bexp_str(b.left, 0) + " or " + _bexp_str(b.right, 1)
-        return "(" + s + ")" if level > 0 else s
-    raise TypeError("not a guard: %r" % (b,))
+    return _print(b, _OR)
 
 
 def exp_to_str(e: Exp) -> str:
     """Print in the imperative concrete syntax; parses back to the same tree."""
-    if is_bexp(e):
-        return "assert " + bexp_to_str(e)
-    if isinstance(e, Act):
-        return "do " + e.name
-    if isinstance(e, Seq):
-        left = exp_to_str(e.left)
-        if isinstance(e.left, (Seq, IfThenElse, While)):
-            left = "(" + left + ")"
-        return left + "; " + exp_to_str(e.right)
-    if isinstance(e, IfThenElse):
-        return "if %s then %s else %s" % (
-            bexp_to_str(e.cond),
-            exp_to_str(e.then_branch),
-            exp_to_str(e.else_branch),
-        )
-    if isinstance(e, While):
-        return "while %s do %s" % (bexp_to_str(e.cond), exp_to_str(e.body))
-    raise TypeError("not an expression: %r" % (e,))
+    return _print(e, _STMT)
 
 
 def kat_to_str(k: KatExp) -> str:
-    return _kat_str(k, 0)
-
-
-def _kat_str(k, level):
-    # levels: 0 = sum, 1 = product, 2 = star operand
-    if isinstance(k, KZero):
-        return "0"
-    if isinstance(k, KOne):
-        return "1"
-    if isinstance(k, KTest):
-        return "[" + bexp_to_str(k.arg) + "]"
-    if isinstance(k, KAct):
-        return k.name
-    if isinstance(k, KStar):
-        return _kat_str(k.arg, 2) + "*"
-    if isinstance(k, KSeq):
-        s = "·".join(_kat_str(p, 1) for p in _factors(k))
-        return "(" + s + ")" if level > 0 else s
-    if isinstance(k, KPlus):
-        s = " + ".join(_kat_str(t, 1) for t in sorted(k.terms, key=kat_to_str))
-        return "(" + s + ")" if level > 0 else s
-    raise TypeError("not a KAT term: %r" % (k,))
+    return _print(k, _SUM)
 
 
 # ===== Parser =====

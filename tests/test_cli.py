@@ -391,17 +391,35 @@ def test_deep_blocks_get_a_verdict(capsys):
             assert capsys.readouterr().out == "inequivalent; witness: %s\n" % witness[name]
 
 
-TOO_DEEP = "assert " + "not " * 1_000 + "b"
+DEEP_NOTS = "not " * 5_000 + "b"
 
 
-def test_too_deep_equiv_is_a_capacity_limit(capsys):
-    """Nesting that a recursive layer after the parser cannot take (1,000
-    negations, which guard evaluation recurses on) exits 3, without a
-    traceback."""
-    assert _equiv_deep(TOO_DEEP, TOO_DEEP) == 3
-    err = capsys.readouterr().err
-    assert "capacity" in err
-    assert "Traceback" not in err
+def test_5000_negations_get_verdicts(tmp_path, capsys):
+    """Guard evaluation keeps its own stack: a guard of 5,000 negations
+    gets equiv's verdicts and witness, and words, learn --algo both and
+    compare answer for it as they do for the guard b it equals."""
+    loop = "while %s do do %s"
+    assert _equiv_deep(loop % (DEEP_NOTS, "p"), loop % (DEEP_NOTS, "p")) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    assert _equiv_deep(loop % (DEEP_NOTS, "p"), loop % (DEEP_NOTS, "q")) == 1
+    assert capsys.readouterr().out == "inequivalent; witness: bp%s\n" % ("b" + MACRON)
+    base = ["--tests", "b", "--actions", "p,q"]
+    commands = {
+        "words": (["words", "--max-actions", "2"] + base, None),
+        "learn": (["learn", "--algo", "both"] + base, "stats.csv"),
+        "compare": (["compare"] + base, "compare.csv"),
+    }
+    for command, (argv, csv_name) in commands.items():
+        answers = []
+        for name, guard in (("b", "b"), ("deep", DEEP_NOTS)):
+            out_dir = tmp_path / command / name
+            extra = ["--out-dir", str(out_dir)] if csv_name else []
+            assert main(argv + extra + ["--expr", loop % (guard, "p")]) == 0, command
+            answer = [capsys.readouterr().out]
+            if csv_name:
+                answer.append(drop_wall(read_csv(out_dir / csv_name)))
+            answers.append(answer)
+        assert answers[0] == answers[1], command
 
 
 def test_deep_blocks_are_a_capacity_limit_past_the_derivative(tmp_path, capsys):
@@ -512,7 +530,7 @@ def test_exit_code_contract(tmp_path, capsys):
 
     exprs = (["do p", "while b do do p", "if b then do p else do q"],
              ["do r", "assert c", "while b do", "(do p", "",
-              DEEP_BLOCKS["ifs"](1_000, "p"), TOO_DEEP])
+              DEEP_BLOCKS["ifs"](1_000, "p"), "assert " + DEEP_NOTS])
     for _ in range(100):
         command = rng.choice(["learn", "compare", "equiv", "words"])
         argv = [command, "--expr", pick(*exprs),

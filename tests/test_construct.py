@@ -309,7 +309,7 @@ def test_kat_construction_prints_nothing(monkeypatch):
         raise AssertionError("printed a KAT term")
 
     monkeypatch.setattr(gkat.syntax, "kat_to_str", refuse)
-    monkeypatch.setattr(gkat.syntax, "_kat_str", refuse)
+    monkeypatch.setattr(gkat.syntax, "_print", refuse)
     programs = [(text, T1) for text in ONE_DROPPING + [_unrolled_loops(7)]]
     programs += [(text, T2) for text in ONE_DROPPING_2]
     for text, tests in programs:

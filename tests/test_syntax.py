@@ -48,6 +48,7 @@ from gkat.syntax import (
     KTest,
     KONE,
     KZERO,
+    kat_to_str,
     kplus,
     kseq,
 )
@@ -373,6 +374,42 @@ def test_parser_takes_5000_nested_loops():
         assert isinstance(e, While) and e.cond == Test("b")
         e = e.body
     assert e == Act("p")
+
+
+def test_print_parse_round_trip_at_depth_5000():
+    """The printers keep their own stack: 5,000 nested ifs, 5,000 loops
+    nested in parentheses and a guard of 5,000 negations print, and the
+    printed text parses back to a tree that prints the same (texts are
+    compared, as == on two deep trees would recurse)."""
+    k = 5_000
+    texts = {
+        "if b then " * k + "do p" + " else do q" * k: None,
+        "while b do (" * k + "do p" + ")" * k + "; do q":
+            "while b do (" + "while b do " * (k - 1) + "do p); do q",
+        "assert " + "not " * k + "b": None,
+    }
+    for text, want in texts.items():
+        printed = exp_to_str(parse_exp(text, T1, ACTS))
+        assert printed == (want or text)
+        assert exp_to_str(parse_exp(printed, T1, ACTS)) == printed
+    guard = "not " * k + "b"
+    assert bexp_to_str(parse_bexp(guard, T1)) == guard
+
+
+def test_kat_terms_print_at_depth_5000():
+    """5,000 nested stars, a 5,000-factor product and 5,000 products nested
+    under stars print without recursion."""
+    k = 5_000
+    p, q = KAct("p"), KAct("q")
+    star = p
+    for _ in range(k):
+        star = KStar(star)
+    assert kat_to_str(star) == "p" + "*" * k
+    assert kat_to_str(kseq(*[p, q] * (k // 2))) == "·".join(["p", "q"] * (k // 2))
+    nest = p
+    for _ in range(k):
+        nest = kseq(q, KStar(nest))
+    assert kat_to_str(nest) == "q·(" * (k - 1) + "q·p*" + ")*" * (k - 1)
 
 
 # ===== KAT terms =====
