@@ -92,6 +92,39 @@ def test_automaton_validation():
         GkatAutomaton(T1, ACTS, ((0, 0),), 3)  # bad initial
 
 
+class _Step(tuple):
+    """A tuple subclass used as a step entry."""
+
+
+def test_automaton_entries_table():
+    """Which transition entries a guarded automaton accepts, and the exact
+    message naming the first bad one, row by row in state order."""
+    accepted = [0, 1, True, 1.0, ("p", 0), ("p", True), _Step(("q", 1))]
+    for entry in accepted:
+        aut = GkatAutomaton(T1, ACTS, ((entry, 0), (1, ("p", 0))), 0)
+        assert aut.delta[0][0] is entry
+    rejected = [
+        (2, "2"),
+        (None, "None"),
+        (("p", 1.0), "('p', 1.0)"),
+        (("r", 0), "('r', 0)"),  # undeclared action
+        (("p", 2), "('p', 2)"),  # the number of states
+        (("p", -1), "('p', -1)"),
+        (("p", 0, 0), "('p', 0, 0)"),
+    ]
+    for entry, text in rejected:
+        with pytest.raises(ValueError) as info:
+            GkatAutomaton(T1, ACTS, ((0, entry), (1, 1)), 0)
+        assert str(info.value) == "bad transition entry: " + text
+    # several bad entries: the first in row order is named
+    with pytest.raises(ValueError) as info:
+        GkatAutomaton(T1, ACTS, ((1, ("p", 1)), (("q", 7), None), (2, ("r", 0))), 0)
+    assert str(info.value) == "bad transition entry: ('q', 7)"
+    with pytest.raises(ValueError) as info:
+        GkatAutomaton(T1, ACTS, ((1, 1), (1,)), 0)
+    assert str(info.value) == "row width 1, expected 2"
+
+
 def test_moore_validation():
     with pytest.raises(ValueError):
         MooreAutomaton(T1, ACTS, ((0, 0, 0, 0),), (), 0)
