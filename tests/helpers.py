@@ -11,6 +11,7 @@ from gkat import (
     GuardedString,
     IfThenElse,
     Not,
+    NotNormalError,
     One,
     Or,
     ParseError,
@@ -25,6 +26,7 @@ from gkat import (
     normalize,
     word_to_str,
 )
+from gkat.automata import _bfs, _check_same_alphabet, _pairs, _split
 from gkat.construct import _numbering, _Residuals
 from gkat.syntax import (
     KEYWORDS,
@@ -277,6 +279,69 @@ def refine_rounds(split, states):
                 if block[x] == len(reps):
                     reps.append(x)
             return block, reps
+
+
+# The whole-machine routines as they were when each one read every state
+# through `_split` once per pass, kept as the oracles that the table-reading
+# versions are held to; `refine_rounds` stands in for `_refine`.
+
+
+def _reference_live_states(aut):
+    preds = [[] for _ in range(aut.n_states)]
+    for x, row in enumerate(aut.delta):
+        for e in row:
+            if isinstance(e, tuple):
+                preds[e[1]].append(x)
+    stack = [x for x in range(aut.n_states) if 1 in aut.delta[x]]
+    live = set(stack)
+    while stack:
+        for x in preds[stack.pop()]:
+            if x not in live:
+                live.add(x)
+                stack.append(x)
+    return live
+
+
+def reference_is_normal(aut: GkatAutomaton) -> int:
+    live = _reference_live_states(aut)
+    return int(all(e[1] in live for row in aut.delta for e in row if isinstance(e, tuple)))
+
+
+def reference_normalize(aut: GkatAutomaton) -> GkatAutomaton:
+    live = _reference_live_states(aut)
+    delta = tuple(
+        tuple(0 if isinstance(e, tuple) and e[1] not in live else e for e in row)
+        for row in aut.delta
+    )
+    return GkatAutomaton(aut.tests, aut.actions, delta, aut.initial)
+
+
+def reference_minimize(aut: GkatAutomaton) -> GkatAutomaton:
+    if not reference_is_normal(aut):
+        raise NotNormalError("minimize needs a normal automaton")
+    split = _split(aut)
+    block, reps = refine_rounds(split, list(_bfs(split, aut.initial)))
+    delta = tuple(
+        tuple((e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
+        for x in reps
+    )
+    return GkatAutomaton(aut.tests, aut.actions, delta, block[aut.initial])
+
+
+def reference_isomorphism(a, b, name, observable):
+    """`automata._isomorphism` checking both inputs before the pair search."""
+    _check_same_alphabet(a, b)
+    for aut in (a, b):
+        split = _split(aut)
+        order = list(_bfs(split, aut.initial))
+        if len(order) != aut.n_states:
+            raise ValueError("%s needs reachable inputs" % name)
+        if observable and len(refine_rounds(split, order)[1]) != aut.n_states:
+            raise ValueError("%s needs observable inputs" % name)
+    pred, differ = _pairs(_split(a), _split(b), (a.initial, b.initial), limit=a.n_states)
+    if differ is not None or not len(pred) == a.n_states == b.n_states:
+        return 0, None
+    return 1, dict(pred.keys())
 
 
 def all_rows_from_scratch(table) -> list:

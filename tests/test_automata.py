@@ -41,6 +41,10 @@ from helpers import (
     mutant,
     rand_automaton,
     rand_normal_automaton,
+    reference_is_normal,
+    reference_isomorphism,
+    reference_minimize,
+    reference_normalize,
     refine_rounds,
     renumbered,
     similar_fixpoint,
@@ -843,3 +847,80 @@ def test_guarded_differences_unchanged():
     assert digest == (
         "0b56f8a4c5f85b1576c9b531f4e60b28ca3bedd3ed435ab4864aad61d9a58899"
     )
+
+
+def _rand_machine(rng, tests, actions, n):
+    """A random guarded automaton on n states whose last states form a
+    region that never accepts and steps only into itself, so that
+    normalization has dead steps to rewrite."""
+    width, dead = 2 ** len(tests), rng.randrange(n // 3)
+    delta = []
+    for x in range(n):
+        live = x < n - dead
+        row = []
+        for _ in range(width):
+            roll = rng.random()
+            if roll < 0.2 and live:
+                row.append(1)
+            elif roll < 0.45:
+                row.append(0)
+            else:
+                lo = 0 if live else n - dead
+                row.append((rng.choice(actions), rng.randrange(lo, n)))
+        delta.append(tuple(row))
+    return GkatAutomaton(tests, actions, tuple(delta), rng.randrange(n - dead))
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_whole_machine_routines_match_references():
+    """normalize, is_normal, minimize and the isomorphism checks give the
+    deltas, verdicts, maps and error messages of the reference versions
+    (tests/helpers.py) on seeded random machines of 500-2,000 states,
+    with every order of unreachable and non-observable inputs."""
+    rng = random.Random(2626)
+    T2 = TestSet(("b", "c"))
+    errors = set()
+    for trial in range(8):
+        tests = (T1, T2)[trial % 2]
+        raw = _rand_machine(rng, tests, ACTS, rng.randint(500, 2000))
+        normal = normalize(raw)
+        ref = reference_normalize(raw)
+        assert (normal.delta, normal.initial) == (ref.delta, ref.initial)
+        for aut in (raw, normal):
+            assert is_normal(aut) == reference_is_normal(aut)
+            assert _outcome(minimize, aut) == _outcome(reference_minimize, aut)
+        small = minimize(normal)
+        split = _split_state(rng, small)
+        cut = replace(small, delta=small.delta + (small.delta[small.initial],))
+        ma, ms = embed_moore(small), embed_moore(split)
+        pairs = [
+            (small, renumbered(rng, small), True),
+            (small, minimize(mutant(rng, small)), True),
+            (small, split, True),  # observable, non-observable
+            (split, small, True),  # non-observable, observable
+            (split, cut, True),  # non-observable, unreachable
+            (cut, split, True),  # unreachable, non-observable
+            (small, cut, True),
+            (normal, normal, True),
+            (ma, _renumbered_moore(rng, ma), False),
+            (ms, ma, False),
+            (ma, embed_moore(cut), False),
+        ]
+        for a, b, observable in pairs:
+            name = "isomorphic" if observable else "moore_isomorphic"
+            got = _outcome(automata._isomorphism, a, b, name, observable)
+            assert got == _outcome(reference_isomorphism, a, b, name, observable)
+            if isinstance(got[1], str):
+                errors.add(got[1])
+    assert errors == {
+        "isomorphic needs reachable inputs",
+        "isomorphic needs observable inputs",
+        "moore_isomorphic needs reachable inputs",
+    }
