@@ -31,6 +31,17 @@ first pair whose labels differ) for `bisimilar`, `isomorphic` and
 `moore_isomorphic` on `_split`, and for the difference searches on
 `_unfold`, which accept either machine kind on either side. `_word`
 reads both searches' links on `_unfold` back as letter words.
+
+Each whole-machine routine reads a machine once per call. `minimize`,
+`minimize_moore` and the isomorphism checks build its `_table` (every
+state's `_split`, in a list) and pass that lookup to each routine they
+run; `minimize` checks normality from it too. `bisimilar` and the
+difference searches stay lazy: they split only the pairs they visit. The
+isomorphism checks test that a is reachable, then (for `isomorphic`)
+observable, then that b is reachable, and then run the pair search; b is
+refined only when the search proves no map, since a copy of an
+observable machine is observable. `normalize` keeps every row without a
+step into a dead state as the same tuple.
 `similar` walks its own pairs: simulation is one-sided (an accept must
 be matched, a reject need not be), so it is not equality of labels, but
 the automata are deterministic, so one walk over the pairs reachable
@@ -86,12 +97,18 @@ class GkatAutomaton:
             raise ValueError("need at least one state")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
-        width = 2 ** len(self.tests)
+        width, actions = 2 ** len(self.tests), self.actions
         for row in self.delta:
             if len(row) != width:
                 raise ValueError("row width %d, expected %d" % (len(row), width))
-            for entry in row:
-                _check_entry(entry, self.actions, n)
+            # the common entries inline; `_check_entry` decides the rest
+            for e in row:
+                if type(e) is tuple:
+                    if len(e) == 2 and e[0] in actions and type(e[1]) is int and 0 <= e[1] < n:
+                        continue
+                elif e == 0 or e == 1:
+                    continue
+                _check_entry(e, actions, n)
 
     @property
     def n_states(self) -> int:
@@ -236,6 +253,12 @@ def _split(aut):
         return tuple(label), succ
 
     return split
+
+
+def _table(aut):
+    """`_split` read once for every state: the same function, as a lookup
+    in a list of each state's (label, successors)."""
+    return list(map(_split(aut), range(len(aut.delta)))).__getitem__
 
 
 def _unfold(aut):
@@ -393,13 +416,13 @@ def _quotient(aut, reps, block):
     """The machine of either kind whose state i is reps[i], each target y
     renumbered block[y]."""
     if isinstance(aut, MooreAutomaton):
-        delta = tuple(tuple(block[y] for y in aut.delta[x]) for x in reps)
-        outputs = tuple(aut.outputs[x] for x in reps)
+        delta = tuple([tuple([block[y] for y in aut.delta[x]]) for x in reps])
+        outputs = tuple([aut.outputs[x] for x in reps])
         return MooreAutomaton(aut.tests, aut.actions, delta, outputs, block[aut.initial])
-    delta = tuple(
-        tuple((e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x])
+    delta = tuple([
+        tuple([(e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x]])
         for x in reps
-    )
+    ])
     return GkatAutomaton(aut.tests, aut.actions, delta, block[aut.initial])
 
 
@@ -418,37 +441,41 @@ def reachable(aut: GkatAutomaton):
     return _quotient(aut, order, {x: i for i, x in enumerate(order)}), witnesses
 
 
-def _live_states(aut: GkatAutomaton):
-    """States with a nonempty language: a backward search over step
-    predecessors from the states that accept on some atom."""
-    preds = [[] for _ in range(aut.n_states)]
-    for x, row in enumerate(aut.delta):
-        for e in row:
-            if isinstance(e, tuple):
-                preds[e[1]].append(x)
-    stack = [x for x in range(aut.n_states) if 1 in aut.delta[x]]
+def _live_states(split, n):
+    """States with a nonempty language, by a backward search from the
+    states that accept on some atom, and the states with a step to a state
+    outside them; split is `_split` of the machine or its `_table`."""
+    preds = [[] for _ in range(n)]
+    stack = []
+    for x in range(n):
+        label, ys = split(x)
+        if 1 in label:
+            stack.append(x)
+        for y in ys:
+            preds[y].append(x)
     live = set(stack)
     while stack:
         for x in preds[stack.pop()]:
             if x not in live:
                 live.add(x)
                 stack.append(x)
-    return live
+    return live, {x for y, xs in enumerate(preds) if y not in live for x in xs}
 
 
 def is_normal(aut: GkatAutomaton) -> int:
     """1 iff every step leads to a state with nonempty language."""
-    live = _live_states(aut)
-    return int(all(e[1] in live for row in aut.delta for e in row if isinstance(e, tuple)))
+    return int(not _live_states(_split(aut), aut.n_states)[1])
 
 
 def normalize(aut: GkatAutomaton) -> GkatAutomaton:
-    """Rewrite steps into dead states as rejections; preserves languages."""
-    live = _live_states(aut)
-    delta = tuple(
-        tuple(0 if isinstance(e, tuple) and e[1] not in live else e for e in row)
-        for row in aut.delta
-    )
+    """Rewrite steps into dead states as rejections; preserves languages.
+    A row without such a step is kept as the same tuple."""
+    live, dirty = _live_states(_split(aut), aut.n_states)
+    delta = tuple([
+        tuple([0 if isinstance(e, tuple) and e[1] not in live else e for e in row])
+        if x in dirty or type(row) is not tuple else row
+        for x, row in enumerate(aut.delta)
+    ])
     return GkatAutomaton(aut.tests, aut.actions, delta, aut.initial)
 
 
@@ -512,9 +539,9 @@ def minimize(aut: GkatAutomaton) -> GkatAutomaton:
     Requires a normal automaton; for those the result is the unique
     smallest normal automaton for the language, up to isomorphism.
     """
-    if not is_normal(aut):
+    split = _table(aut)
+    if _live_states(split, aut.n_states)[1]:
         raise NotNormalError("minimize needs a normal automaton")
-    split = _split(aut)
     block, reps = _refine(split, list(_bfs(split, aut.initial)))
     return _quotient(aut, reps, block)
 
@@ -522,19 +549,24 @@ def minimize(aut: GkatAutomaton) -> GkatAutomaton:
 def _isomorphism(a, b, name, observable):
     """Isomorphism of reachable inputs (observable too, if asked): the
     pair search from the initial states finds no label difference and its
-    visited pairs form a bijection."""
+    visited pairs form a bijection. Each input is read once, into its
+    table; b is refined only when the search proves no map."""
     _check_same_alphabet(a, b)
-    for aut in (a, b):
-        split = _split(aut)
-        order = list(_bfs(split, aut.initial))
-        if len(order) != aut.n_states:
-            raise ValueError("%s needs reachable inputs" % name)
-        if observable and len(_refine(split, order)[1]) != aut.n_states:
-            raise ValueError("%s needs observable inputs" % name)
-    pred, differ = _pairs(_split(a), _split(b), (a.initial, b.initial), limit=a.n_states)
-    if differ is not None or not len(pred) == a.n_states == b.n_states:
-        return 0, None
-    return 1, dict(pred.keys())
+    split_a, split_b = _table(a), _table(b)
+    order = list(_bfs(split_a, a.initial))
+    if len(order) != a.n_states:
+        raise ValueError("%s needs reachable inputs" % name)
+    if observable and len(_refine(split_a, order)[1]) != a.n_states:
+        raise ValueError("%s needs observable inputs" % name)
+    order = list(_bfs(split_b, b.initial))
+    if len(order) != b.n_states:
+        raise ValueError("%s needs reachable inputs" % name)
+    pred, differ = _pairs(split_a, split_b, (a.initial, b.initial), limit=a.n_states)
+    if differ is None and len(pred) == a.n_states == b.n_states:
+        return 1, dict(pred.keys())
+    if observable and len(_refine(split_b, order)[1]) != b.n_states:
+        raise ValueError("%s needs observable inputs" % name)
+    return 0, None
 
 
 def isomorphic(
@@ -573,7 +605,7 @@ def moore_reachable(aut: MooreAutomaton) -> MooreAutomaton:
 
 def minimize_moore(aut: MooreAutomaton) -> MooreAutomaton:
     """Standard Moore machine minimization, deterministic state order."""
-    split = _split(aut)
+    split = _table(aut)
     block, reps = _refine(split, list(_bfs(split, aut.initial)))
     return _quotient(aut, reps, block)
 

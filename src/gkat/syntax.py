@@ -10,7 +10,8 @@ the last three are loops over explicit stacks and take any depth.
 Expression, guard and KAT term nodes are immutable, and each node's hash
 is fixed at construction from its children's stored hashes. Hashing a
 node, for example to look a residual up in a dict, therefore costs O(1)
-and never recurses, however deep the tree below it is.
+and never recurses, however deep the tree below it is. Equality walks
+one explicit stack of node pairs, so it does not recurse either.
 """
 from __future__ import annotations
 
@@ -70,6 +71,31 @@ def _stored_hash(node):
     return node._hash
 
 
+_FIELDS = {}  # node class -> the function from a node to its field tuple
+
+
+def _equal(a, b) -> bool:
+    """The dataclass equality of two nodes, by one explicit stack of pairs:
+    identical pairs are equal, nodes of one class with different stored
+    hashes differ, nodes of one class and tuples of one length are
+    compared field by field (item by item), anything else by ==."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        fields_of = _FIELDS.get(x.__class__)
+        if fields_of is not None and y.__class__ is x.__class__:
+            if x._hash != y._hash:
+                return False
+            stack.extend(zip(fields_of(x), fields_of(y)))
+        elif type(x) is tuple and type(y) is tuple and len(x) == len(y):
+            stack.extend(zip(x, y))
+        elif not x == y:
+            return False
+    return True
+
+
 def _hash_once(cls):
     """Make a node class a frozen, slotted dataclass whose hash is fixed at
     construction.
@@ -77,6 +103,7 @@ def _hash_once(cls):
     The stored hash equals the frozen dataclass hash of the field tuple;
     it is taken once, from the children's stored hashes, and a pickle
     holds only the fields, so loading one under any hash seed rehashes.
+    Equality is the dataclass's, walked by `_equal` without recursion.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
@@ -93,12 +120,20 @@ def _hash_once(cls):
     def __reduce__(self):
         return type(self), fields_of(self)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _equal(self, other)
+
     cls.__annotations__ = {**annotations, "_hash": "int"}
     cls._hash = field(init=False, repr=False, compare=False)
     cls.__post_init__ = __post_init__
     cls.__reduce__ = __reduce__
+    cls.__eq__ = __eq__
     cls.__hash__ = _stored_hash
-    return dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    _FIELDS[cls] = fields_of
+    return cls
 
 
 class Exp:

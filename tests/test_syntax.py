@@ -376,11 +376,18 @@ def test_parser_takes_5000_nested_loops():
     assert e == Act("p")
 
 
+def _assert_same_text(got, want):
+    """got == want, checked first by length and by an excerpt at the first
+    differing offset, so that a failure does not diff two long texts."""
+    at = next((i for i, (u, v) in enumerate(zip(got, want)) if u != v), min(len(got), len(want)))
+    assert (len(got), got[at:at + 40]) == (len(want), want[at:at + 40]), "offset %d" % at
+    assert got == want
+
+
 def test_print_parse_round_trip_at_depth_5000():
     """The printers keep their own stack: 5,000 nested ifs, 5,000 loops
     nested in parentheses and a guard of 5,000 negations print, and the
-    printed text parses back to a tree that prints the same (texts are
-    compared, as == on two deep trees would recurse)."""
+    printed text parses back to a tree that prints the same."""
     k = 5_000
     texts = {
         "if b then " * k + "do p" + " else do q" * k: None,
@@ -390,10 +397,33 @@ def test_print_parse_round_trip_at_depth_5000():
     }
     for text, want in texts.items():
         printed = exp_to_str(parse_exp(text, T1, ACTS))
-        assert printed == (want or text)
-        assert exp_to_str(parse_exp(printed, T1, ACTS)) == printed
+        _assert_same_text(printed, want or text)
+        _assert_same_text(exp_to_str(parse_exp(printed, T1, ACTS)), printed)
     guard = "not " * k + "b"
-    assert bexp_to_str(parse_bexp(guard, T1)) == guard
+    _assert_same_text(bexp_to_str(parse_bexp(guard, T1)), guard)
+
+
+def test_deep_trees_compare_without_recursion():
+    """Two separately parsed copies of 5,000 loops nested in parentheses
+    are equal and hash alike; trees that differ only at the innermost
+    statement, or that differ in class, are unequal."""
+    k = 5_000
+    text = "while b do (" * k + "do p" + ")" * k + "; do q"
+    a, b = parse_exp(text, T1, ACTS), parse_exp(text, T1, ACTS)
+    assert a is not b and a.body is not b.body
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    other = parse_exp(text.replace("do p", "do q"), T1, ACTS)
+    assert a != other and other != a
+    nested = [parse_exp("if b then " * k + "do p" + " else do q" * k, T1, ACTS) for _ in "ab"]
+    assert nested[0] == nested[1]
+    guards = [parse_bexp("not " * k + "b", T1) for _ in "ab"]
+    assert guards[0] == guards[1] != parse_bexp("not " * k + "1", T1)
+    assert Test("b").__eq__(Act("b")) is NotImplemented
+    assert Test("b") != Act("b") and Seq(Act("p"), Act("q")) != (Act("p"), Act("q"))
+    assert KPlus((KAct("p"), KAct("q"))) == KPlus((KAct("p"), KAct("q")))
+    assert KPlus((KAct("p"), KAct("q"))) != KPlus((KAct("q"), KAct("p")))
+    assert KPlus((KAct("p"),)) != KPlus((KAct("p"), KAct("q")))
 
 
 def test_kat_terms_print_at_depth_5000():
