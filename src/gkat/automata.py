@@ -552,12 +552,13 @@ def _isomorphism(a, b, name, observable):
     visited pairs form a bijection. Each input is read once, into its
     table; b is refined only when the search proves no map."""
     _check_same_alphabet(a, b)
-    split_a, split_b = _table(a), _table(b)
+    split_a = _table(a)
     order = list(_bfs(split_a, a.initial))
     if len(order) != a.n_states:
         raise ValueError("%s needs reachable inputs" % name)
     if observable and len(_refine(split_a, order)[1]) != a.n_states:
         raise ValueError("%s needs observable inputs" % name)
+    split_b = _table(b)
     order = list(_bfs(split_b, b.initial))
     if len(order) != b.n_states:
         raise ValueError("%s needs reachable inputs" % name)

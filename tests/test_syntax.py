@@ -415,6 +415,13 @@ def test_deep_trees_compare_without_recursion():
     assert {a: 1}[b] == 1
     other = parse_exp(text.replace("do p", "do q"), T1, ACTS)
     assert a != other and other != a
+    # -1 and -2 hash alike, so these trees agree on every stored hash and
+    # differ only at the bottom, which the walk must reach
+    pair = [Act(-1), Act(-2)]
+    for _ in range(k):
+        pair = [While(Test("b"), Seq(x, Act("q"))) for x in pair]
+    assert hash(pair[0]) == hash(pair[1]) and pair[0] != pair[1]
+    assert KPlus((KAct(-1), KAct("q"))) != KPlus((KAct(-2), KAct("q")))
     nested = [parse_exp("if b then " * k + "do p" + " else do q" * k, T1, ACTS) for _ in "ab"]
     assert nested[0] == nested[1]
     guards = [parse_bexp("not " * k + "b", T1) for _ in "ab"]
