@@ -31,6 +31,10 @@ first pair whose labels differ) for `bisimilar`, `isomorphic` and
 `moore_isomorphic` on `_split`, and for the difference searches on
 `_unfold`, which accept either machine kind on either side. `_word`
 reads both searches' links on `_unfold` back as letter words.
+`similar` walks its own pairs: simulation is one-sided (an accept must
+be matched, a reject need not be), so it is not equality of labels, but
+the automata are deterministic, so one walk over the pairs reachable
+from (x, y) by steps on the same action decides it.
 
 Each whole-machine routine reads a machine once per call. `minimize`,
 `minimize_moore` and the isomorphism checks build its `_table` (every
@@ -42,10 +46,6 @@ observable, then that b is reachable, and then run the pair search; b is
 refined only when the search proves no map, since a copy of an
 observable machine is observable. `normalize` keeps every row without a
 step into a dead state as the same tuple.
-`similar` walks its own pairs: simulation is one-sided (an accept must
-be matched, a reject need not be), so it is not equality of labels, but
-the automata are deterministic, so one walk over the pairs reachable
-from (x, y) by steps on the same action decides it.
 """
 from __future__ import annotations
 
