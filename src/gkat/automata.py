@@ -68,20 +68,6 @@ from .syntax import (
 Trans = Union[int, Tuple[str, int]]
 
 
-def _check_entry(entry, actions, n_states):
-    if entry == 0 or entry == 1:
-        return
-    if (
-        isinstance(entry, tuple)
-        and len(entry) == 2
-        and entry[0] in actions
-        and isinstance(entry[1], int)
-        and 0 <= entry[1] < n_states
-    ):
-        return
-    raise ValueError("bad transition entry: %r" % (entry,))
-
-
 @dataclass(frozen=True)
 class GkatAutomaton:
     """delta[state][atom.bits] is 0, 1, or (action, next_state)."""
@@ -101,14 +87,19 @@ class GkatAutomaton:
         for row in self.delta:
             if len(row) != width:
                 raise ValueError("row width %d, expected %d" % (len(row), width))
-            # the common entries inline; `_check_entry` decides the rest
             for e in row:
-                if type(e) is tuple:
-                    if len(e) == 2 and e[0] in actions and type(e[1]) is int and 0 <= e[1] < n:
-                        continue
-                elif e == 0 or e == 1:
-                    continue
-                _check_entry(e, actions, n)
+                if not (
+                    e == 0
+                    or e == 1
+                    or (
+                        isinstance(e, tuple)
+                        and len(e) == 2
+                        and e[0] in actions
+                        and isinstance(e[1], int)
+                        and 0 <= e[1] < n
+                    )
+                ):
+                    raise ValueError("bad transition entry: %r" % (e,))
 
     @property
     def n_states(self) -> int:
@@ -441,17 +432,18 @@ def reachable(aut: GkatAutomaton):
     return _quotient(aut, order, {x: i for i, x in enumerate(order)}), witnesses
 
 
-def _live_states(split, n):
+def _live_states(aut, split):
     """States with a nonempty language, by a backward search from the
     states that accept on some atom, and the states with a step to a state
-    outside them; split is `_split` of the machine or its `_table`."""
-    preds = [[] for _ in range(n)]
+    outside them; split is `_split` of the machine or its `_table`. The
+    accepts are read from the rows, not the labels, where an action could
+    equal 1."""
+    preds = [[] for _ in aut.delta]
     stack = []
-    for x in range(n):
-        label, ys = split(x)
-        if 1 in label:
+    for x, row in enumerate(aut.delta):
+        if 1 in row:
             stack.append(x)
-        for y in ys:
+        for y in split(x)[1]:
             preds[y].append(x)
     live = set(stack)
     while stack:
@@ -464,13 +456,13 @@ def _live_states(split, n):
 
 def is_normal(aut: GkatAutomaton) -> int:
     """1 iff every step leads to a state with nonempty language."""
-    return int(not _live_states(_split(aut), aut.n_states)[1])
+    return int(not _live_states(aut, _split(aut))[1])
 
 
 def normalize(aut: GkatAutomaton) -> GkatAutomaton:
     """Rewrite steps into dead states as rejections; preserves languages.
     A row without such a step is kept as the same tuple."""
-    live, dirty = _live_states(_split(aut), aut.n_states)
+    live, dirty = _live_states(aut, _split(aut))
     delta = tuple([
         tuple([0 if isinstance(e, tuple) and e[1] not in live else e for e in row])
         if x in dirty or type(row) is not tuple else row
@@ -540,7 +532,7 @@ def minimize(aut: GkatAutomaton) -> GkatAutomaton:
     smallest normal automaton for the language, up to isomorphism.
     """
     split = _table(aut)
-    if _live_states(split, aut.n_states)[1]:
+    if _live_states(aut, split)[1]:
         raise NotNormalError("minimize needs a normal automaton")
     block, reps = _refine(split, list(_bfs(split, aut.initial)))
     return _quotient(aut, reps, block)

@@ -924,3 +924,14 @@ def test_whole_machine_routines_match_references():
         "isomorphic needs observable inputs",
         "moore_isomorphic needs reachable inputs",
     }
+
+
+def test_normality_reads_accepts_from_rows():
+    """A step on an action that equals 1 is not an accept: a state whose
+    only exits are such steps has an empty language."""
+    for action in (1, True):
+        aut = GkatAutomaton(T1, (action,), (((action, 0), 0),), 0)
+        assert is_normal(aut) == reference_is_normal(aut) == 0
+        assert normalize(aut).delta == reference_normalize(aut).delta == ((0, 0),)
+        assert _outcome(minimize, aut) == _outcome(reference_minimize, aut)
+        assert _outcome(minimize, aut)[0] == "NotNormalError"
