@@ -664,7 +664,7 @@ def _dot(name: str, initial: int, nodes, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-def gkat_dot(aut: GkatAutomaton, name: str = "gkat") -> str:
+def gkat_dot(aut: GkatAutomaton) -> str:
     """Graphviz rendering; accepting atoms are listed inside the node."""
     ats = atoms(aut.tests)
     nodes = [
@@ -677,10 +677,10 @@ def gkat_dot(aut: GkatAutomaton, name: str = "gkat") -> str:
         for a, e in zip(ats, row)
         if isinstance(e, tuple)
     ]
-    return _dot(name, aut.initial, nodes, edges)
+    return _dot("gkat", aut.initial, nodes, edges)
 
 
-def moore_dot(aut: MooreAutomaton, name: str = "moore") -> str:
+def moore_dot(aut: MooreAutomaton) -> str:
     """Graphviz rendering; node labels carry the per-atom output bits."""
     ats = atoms(aut.tests)
     nodes = [
@@ -693,4 +693,4 @@ def moore_dot(aut: MooreAutomaton, name: str = "moore") -> str:
         for x, row in enumerate(aut.delta)
         for y, letter in zip(row, alphabet)
     ]
-    return _dot(name, aut.initial, nodes, edges)
+    return _dot("moore", aut.initial, nodes, edges)

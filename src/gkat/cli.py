@@ -3,8 +3,11 @@
 Subcommands: learn (run a learner against an expression and write DOT,
 per-round table CSVs, trace, stats), compare (sweep the test-set size and
 tabulate query counts for both learners), equiv (decide equivalence of two
-expressions by a product search over their guarded automata, unfolded into
-Moore machines one state at a time), and words (dump the bounded semantics).
+expressions by a product search over their derivative automata as built,
+unfolded into Moore machines one state at a time), and words (dump the
+bounded semantics). Every answer here depends only on the languages, so no
+machine is put in normal form: a GL* teacher answers from the derivative
+automaton as built.
 The parser is built once per process. `main` looks up `cmd_<command>`
 by name on every call, so a patched command is the one that runs, and
 calls it inside one mapping of errors to exit codes.
@@ -34,12 +37,7 @@ from .errors import (
 )
 from .syntax import TestSet, atoms, embed_kat, parse_exp
 from .language import denote
-from .automata import (
-    gkat_dot,
-    moore_difference_gs,
-    moore_dot,
-    normalize,
-)
+from .automata import gkat_dot, moore_difference_gs, moore_dot
 from .construct import gkat_automaton, kat_moore_automaton
 from .learning import GkatTeacher, MooreTeacher, format_event, glstar, lstar_moore
 
@@ -89,16 +87,14 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
     actions = args.actions
     start = time.perf_counter()
     if algo == "glstar":
-        target = normalize(gkat_automaton(e, tests, actions))
+        target = gkat_automaton(e, tests, actions)
         aut, stats = glstar(GkatTeacher(target), tests, actions, cx_mode=args.cx,
                             zero_fill=args.zero_fill, on_event=observe)
         to_dot = gkat_dot
-    elif algo == "lstar":
+    else:
         target = kat_moore_automaton(embed_kat(e), tests, actions)
         aut, stats = lstar_moore(MooreTeacher(target), tests, actions, on_event=observe)
         to_dot = moore_dot
-    else:
-        raise ValueError("unknown algorithm: %r" % (algo,))
     wall_ms = int(round((time.perf_counter() - start) * 1000))
 
     if out_dir is not None:
@@ -160,10 +156,10 @@ def cmd_equiv(args) -> int:
     tests = TestSet(args.tests)
     e1 = parse_exp(args.expr, tests, args.actions)
     e2 = parse_exp(args.expr2, tests, args.actions)
-    a1 = normalize(gkat_automaton(e1, tests, args.actions))
-    a2 = normalize(gkat_automaton(e2, tests, args.actions))
-    # the shortlex-least separating string depends only on the languages
-    witness = moore_difference_gs(a1, a2)
+    # the shortlex-least separating string depends only on the languages,
+    # so the search runs on the derivative machines as built
+    witness = moore_difference_gs(gkat_automaton(e1, tests, args.actions),
+                                  gkat_automaton(e2, tests, args.actions))
     if witness is None:
         print("equivalent")
         return 0

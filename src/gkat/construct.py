@@ -16,6 +16,10 @@ tails and a step adds only the few operands it exposes. The encoding is
 a bijection on trees, so residuals are identified exactly as trees
 would be. `_Residuals.step`, the guarded derivative, and guard evaluation
 are loops with their own stacks, and the step builds no tree.
+
+The machines come out as built, not normalized: a residual whose language
+is empty keeps its state. Both constructions raise CapacityError past
+STATE_LIMIT states, read when they run.
 """
 from __future__ import annotations
 
@@ -172,17 +176,12 @@ def _numbering(start, max_states: int, what: str):
     return number, queue
 
 
-def gkat_automaton(
-    e: Exp,
-    tests: TestSet,
-    actions: Tuple[str, ...],
-    max_states: int = STATE_LIMIT,
-) -> GkatAutomaton:
+def gkat_automaton(e: Exp, tests: TestSet, actions: Tuple[str, ...]) -> GkatAutomaton:
     """The derivative automaton of e; state 0 is e itself."""
     _check_actions(e, actions)
     ats = atoms(tests)
     residuals = _Residuals()
-    number, queue = _numbering(residuals.fold(e, 0), max_states, "residuals")
+    number, queue = _numbering(residuals.fold(e, 0), STATE_LIMIT, "residuals")
     delta = []
     while queue:
         cur = queue.popleft()
@@ -236,17 +235,12 @@ def _kat_deriv(k: KatExp, atom, action: str) -> KatExp:
     raise TypeError("not a KAT term: %r" % (k,))
 
 
-def kat_moore_automaton(
-    k: KatExp,
-    tests: TestSet,
-    actions: Tuple[str, ...],
-    max_states: int = STATE_LIMIT,
-) -> MooreAutomaton:
+def kat_moore_automaton(k: KatExp, tests: TestSet, actions: Tuple[str, ...]) -> MooreAutomaton:
     """The derivative Moore machine of a KAT term; state 0 is k itself."""
     _check_actions(k, actions)
     ats = atoms(tests)
     alphabet = letters(tests, actions)
-    number, queue = _numbering(k, max_states, "derivatives")
+    number, queue = _numbering(k, STATE_LIMIT, "derivatives")
     delta = []
     outputs = []
     while queue:

@@ -32,10 +32,9 @@ WORD_LIMIT = 1_000_000
 
 @dataclass(frozen=True)
 class BoundedLanguage:
-    """All members of a language with at most `bound` actions."""
+    """All members of a language up to an action bound."""
 
     words: FrozenSet[GuardedString]
-    bound: int
 
     def __contains__(self, w: GuardedString) -> bool:
         return w in self.words
@@ -109,19 +108,14 @@ def _denote(e, k, ats, cap):
     raise TypeError("not an expression: %r" % (e,))
 
 
-def denote(
-    e: Exp,
-    k: int,
-    tests: TestSet,
-    actions: Tuple[str, ...],
-    max_words: int = WORD_LIMIT,
-) -> BoundedLanguage:
-    """Compute the semantics of e cut off at k actions."""
+def denote(e: Exp, k: int, tests: TestSet, actions: Tuple[str, ...]) -> BoundedLanguage:
+    """Compute the semantics of e cut off at k actions; any intermediate
+    set of more than WORD_LIMIT words raises CapacityError."""
     if k < 0:
         raise ValueError("the action bound must be non-negative, got %d" % k)
     _check_actions(e, actions)
     ats = atoms(tests)
-    return BoundedLanguage(frozenset(_denote(e, k, ats, max_words)), k)
+    return BoundedLanguage(frozenset(_denote(e, k, ats, WORD_LIMIT)))
 
 
 def member(e: Exp, w: GuardedString, tests: TestSet, actions: Tuple[str, ...]) -> int:

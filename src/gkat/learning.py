@@ -430,9 +430,10 @@ class LStarObservationTable(ObservationTable):
 # ===== Learners =====
 
 
-def _learn(table: ObservationTable, teacher: Teacher, shrink: bool):
-    """The learner loop shared by both tables. With `shrink`, each
-    counterexample is cut to an informative suffix before it is added."""
+def _learn(table: ObservationTable, shrink: bool):
+    """The learner loop shared by both tables, asking the table's teacher.
+    With `shrink`, each counterexample is cut to an informative suffix
+    before it is added."""
     stats = table.stats
     table.fill()
     while True:
@@ -442,29 +443,26 @@ def _learn(table: ObservationTable, teacher: Teacher, shrink: bool):
         table._emit("hypothesis", hyp.n_states)
         if stats.equivalence_queries > 10 * (len(table.S) + 1):
             raise InternalInconsistencyError("equivalence query cap exceeded")
-        z = teacher.equivalence(hyp)
+        z = table.teacher.equivalence(hyp)
         stats.equivalence_queries += 1
         table._emit("equiv", z)
         if z is None:
             return hyp, stats
         if shrink:
-            z = optimized_counterexample(table, z, teacher, hyp)
+            z = optimized_counterexample(table, z, hyp)
         table.add_counterexample(z)
 
 
 def optimized_counterexample(
-    table: GlObservationTable,
-    z: GuardedString,
-    teacher: Teacher,
-    hypothesis: GkatAutomaton,
+    table: GlObservationTable, z: GuardedString, hypothesis: GkatAutomaton
 ) -> GuardedString:
     """Shrink a counterexample before suffixing it into the table.
 
     Scans suffixes of z from shortest to longest; for each, replays the
     consumed part through the hypothesis, replants the suffix on that
-    state's access word, and compares the teacher against the hypothesis
-    state. The first disagreement found is the informative suffix; one
-    always exists when z has at least one action.
+    state's access word, and compares the table's teacher against the
+    hypothesis state. The first disagreement found is the informative
+    suffix; one always exists when z has at least one action.
     """
     if z.n_actions == 0:
         return z
@@ -497,7 +495,7 @@ def glstar(
         raise ValueError("unknown counterexample mode: %r" % (cx_mode,))
     stats = QueryStats()
     table = GlObservationTable(tests, actions, teacher, stats, zero_fill, on_event)
-    return _learn(table, teacher, cx_mode == "optimized")
+    return _learn(table, cx_mode == "optimized")
 
 
 def lstar_moore(
@@ -509,4 +507,4 @@ def lstar_moore(
     """Learn a Moore machine for the teacher's language over letter words."""
     stats = QueryStats()
     table = LStarObservationTable(tests, actions, teacher, stats, on_event)
-    return _learn(table, teacher, False)
+    return _learn(table, False)

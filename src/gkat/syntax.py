@@ -60,9 +60,6 @@ class TestSet:
     def __iter__(self):
         return iter(self.tests)
 
-    def index(self, name: str) -> int:
-        return self.tests.index(name)
-
 
 # ===== Boolean guards and program expressions =====
 
@@ -295,17 +292,17 @@ def _atom_str(tests: Tuple[str, ...], bits: int) -> str:
     return "".join(out)
 
 
-def atoms(tests: TestSet, limit: int = ATOM_LIMIT) -> List[Atom]:
+def atoms(tests: TestSet) -> List[Atom]:
     """All atoms over the test set, in canonical order.
 
     Canonical order is lexicographic by test order with the negative
     assignment before the positive one, so for tests (b,) the order is
-    [b̄, b].
+    [b̄, b]. More than ATOM_LIMIT atoms raise CapacityError.
     """
     n = len(tests.tests)
     count = 2 ** n
-    if count > limit:
-        raise CapacityError("2^%d atoms exceed the limit of %d" % (n, limit))
+    if count > ATOM_LIMIT:
+        raise CapacityError("2^%d atoms exceed the limit of %d" % (n, ATOM_LIMIT))
     return [Atom(tests.tests, bits) for bits in range(count)]
 
 

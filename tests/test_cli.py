@@ -9,12 +9,17 @@ from pathlib import Path
 import pytest
 
 from gkat import (
+    GkatTeacher,
     IfThenElse,
     TestSet,
     bisimilar,
     embed_moore,
     exp_to_str,
+    format_event,
     gkat_automaton,
+    gkat_dot,
+    glstar,
+    is_normal,
     isomorphic,
     minimize,
     moore_difference_gs,
@@ -216,6 +221,9 @@ def test_compare_sweep_needs_enough_tests(capsys):
     assert "error" in capsys.readouterr().err
 
 
+DEAD_LOOP = "while b do (do p; assert 0)"  # its machine steps into a dead state
+
+
 def test_equiv_equal(capsys):
     rc = main(
         [
@@ -232,6 +240,10 @@ def test_equiv_equal(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip() == "equivalent"
+    argv = ["equiv", "--expr", DEAD_LOOP, "--expr2", "assert not b",
+            "--tests", "b", "--actions", "p,q"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "equivalent\n"
 
 
 def test_equiv_loop_unrolling(capsys):
@@ -269,6 +281,10 @@ def test_equiv_different(capsys):
     out = capsys.readouterr().out
     assert out.startswith("inequivalent; witness: ")
     assert "b̄pb̄" in out
+    argv = ["equiv", "--expr", DEAD_LOOP, "--expr2", "assert 1",
+            "--tests", "b", "--actions", "p,q"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "inequivalent; witness: b\n"
 
 
 def test_parse_error_exit_code(capsys):
@@ -474,6 +490,56 @@ def test_equiv_agrees_with_minimization_route(capsys):
         assert moore_difference_gs(embed_moore(a1), embed_moore(a2)) == (
             _equiv_by_minimization(a1, a2)
         )
+
+
+def _glstar_record(target, tests, actions, cx_mode, zero_fill):
+    """Everything `learn` writes from one GL* run against target: the trace
+    lines, the table snapshots, the DOT text and the query statistics."""
+    lines, snapshots = [], []
+
+    def on_event(kind, payload, table):
+        lines.append(format_event(kind, payload))
+        if kind == "hypothesis":
+            snapshots.append(table.snapshot())
+
+    aut, stats = glstar(GkatTeacher(target), tests, actions, cx_mode=cx_mode,
+                        zero_fill=zero_fill, on_event=on_event)
+    return lines, snapshots, gkat_dot(aut), stats
+
+
+def test_answers_depend_only_on_the_language(capsys):
+    """`equiv`'s witness and everything GL* learns from a teacher are the
+    same on a derivative machine as built and on its normal form, which
+    sends steps into dead states to the implicit sink instead."""
+    rng = random.Random(5)
+    actions = ("p", "q")
+    modes = [(cx, zero) for cx in ("suffix", "optimized") for zero in (False, True)]
+    not_normal = 0
+    for trial in range(300):
+        tests = TestSet(("b", "c")[: 1 + trial % 2])
+        e = rand_exp(rng, tests, actions, 4)
+        raw = gkat_automaton(e, tests, actions)
+        normal = normalize(raw)
+        not_normal += not is_normal(raw)
+        assert moore_difference_gs(raw, normal) is None
+        fresh = rand_exp(rng, tests, actions, 4)
+        guarded = IfThenElse(rand_bexp(rng, tests, 2), e, fresh)
+        for other in (fresh, guarded):
+            other_raw = gkat_automaton(other, tests, actions)
+            witness = moore_difference_gs(normal, normalize(other_raw))
+            assert moore_difference_gs(raw, other_raw) == witness
+            rc = main(["equiv", "--expr", exp_to_str(e), "--expr2", exp_to_str(other),
+                       "--tests", ",".join(tests.tests), "--actions", ",".join(actions)])
+            out = capsys.readouterr().out
+            if witness is None:
+                assert (rc, out) == (0, "equivalent\n")
+            else:
+                assert (rc, out) == (1, "inequivalent; witness: %s\n" % witness)
+        for cx_mode, zero_fill in modes:
+            assert _glstar_record(raw, tests, actions, cx_mode, zero_fill) == (
+                _glstar_record(normal, tests, actions, cx_mode, zero_fill)
+            ), (exp_to_str(e), cx_mode, zero_fill)
+    assert not_normal >= 30  # at least 10% of the machines step into a dead state
 
 
 def test_main_runs_a_command_patched_between_calls(monkeypatch, capsys):

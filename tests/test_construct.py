@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import gkat.construct
 import gkat.syntax
 from gkat import (
     Act,
@@ -79,10 +80,11 @@ def test_fixture_matches_program():
     assert minimize(f).n_states == 2
 
 
-def test_capacity_limit():
+def test_capacity_limit(monkeypatch):
     e = parse_exp("(while b do do p); do q", T1, ACTS)
+    monkeypatch.setattr(gkat.construct, "STATE_LIMIT", 1)
     with pytest.raises(CapacityError):
-        gkat_automaton(e, T1, ACTS, max_states=1)
+        gkat_automaton(e, T1, ACTS)
 
 
 def test_undeclared_action_rejected():
@@ -149,10 +151,11 @@ def test_products_share_their_tails():
     assert d == KSeq(KStar(p), k.tail) and d.tail is k.tail
 
 
-def test_kat_capacity_limit():
+def test_kat_capacity_limit(monkeypatch):
     e = parse_exp("(while b do do p); do q", T1, ACTS)
+    monkeypatch.setattr(gkat.construct, "STATE_LIMIT", 1)
     with pytest.raises(CapacityError):
-        kat_moore_automaton(embed_kat(e), T1, ACTS, max_states=1)
+        kat_moore_automaton(embed_kat(e), T1, ACTS)
 
 
 def test_two_tests_program():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import gkat.language
+
 from gkat import (
     CapacityError,
     GuardedString,
@@ -83,10 +85,11 @@ def test_denote_rejects_undeclared_action():
         denote(parse_exp("do p", T1, ACTS), 1, T1, ("q",))
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
     e = parse_exp("do p; do q", T1, ACTS)
+    monkeypatch.setattr(gkat.language, "WORD_LIMIT", 3)
     with pytest.raises(CapacityError):
-        denote(e, 2, T1, ACTS, max_words=3)
+        denote(e, 2, T1, ACTS)
 
 
 def test_is_deterministic_handcrafted():

@@ -172,7 +172,7 @@ def test_glstar_optimized_counterexample():
     z = teacher.equivalence(hyp)
     before = stats.membership_queries
 
-    shrunk = optimized_counterexample(table, z, teacher, hyp)
+    shrunk = optimized_counterexample(table, z, hyp)
     assert str(shrunk) == "b̄qb̄"
     # the longer split dies during hypothesis replay, so only one probe
     assert stats.membership_queries == before + 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import gkat.syntax
 from gkat import (
     Act,
     And,
@@ -77,9 +78,10 @@ def test_atoms_canonical_order_two_tests():
     assert names == ["āb̄", "āb", "ab̄", "ab"]
 
 
-def test_atoms_capacity():
+def test_atoms_capacity(monkeypatch):
+    monkeypatch.setattr(gkat.syntax, "ATOM_LIMIT", 3)
     with pytest.raises(CapacityError):
-        atoms(T2, limit=3)
+        atoms(T2)
 
 
 def test_empty_test_set_has_one_atom():
