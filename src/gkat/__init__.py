@@ -45,7 +45,7 @@ from .syntax import (
     suffixes_word,
     word_to_str,
 )
-from .language import BoundedLanguage, denote, is_deterministic, member
+from .language import automaton_words, denote, is_deterministic, member
 from .automata import (
     GkatAutomaton,
     MooreAutomaton,

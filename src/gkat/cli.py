@@ -4,10 +4,10 @@ Subcommands: learn (run a learner against an expression and write DOT,
 per-round table CSVs, trace, stats), compare (sweep the test-set size and
 tabulate query counts for both learners), equiv (decide equivalence of two
 expressions by a product search over their derivative automata as built,
-unfolded into Moore machines one state at a time), and words (dump the
-bounded semantics). Every answer here depends only on the languages, so no
-machine is put in normal form: a GL* teacher answers from the derivative
-automaton as built.
+unfolded into Moore machines one state at a time), and words (list the
+words of the derivative automaton up to an action bound). Every answer here
+depends only on the languages, so no machine is put in normal form: a GL*
+teacher answers from the derivative automaton as built.
 The parser is built once per process. `main` looks up `cmd_<command>`
 by name on every call, so a patched command is the one that runs, and
 calls it inside one mapping of errors to exit codes.
@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
 )
 from .syntax import TestSet, atoms, embed_kat, parse_exp
-from .language import denote
+from .language import automaton_words
 from .automata import gkat_dot, moore_difference_gs, moore_dot
 from .construct import gkat_automaton, kat_moore_automaton
 from .learning import GkatTeacher, MooreTeacher, format_event, glstar, lstar_moore
@@ -170,8 +170,9 @@ def cmd_equiv(args) -> int:
 def cmd_words(args) -> int:
     tests = TestSet(args.tests)
     e = parse_exp(args.expr, tests, args.actions)
-    lang = denote(e, args.max_actions, tests, args.actions)
-    for w in lang.sorted_words(args.actions):
+    if args.max_actions < 0:
+        raise ValueError("the action bound must be non-negative, got %d" % args.max_actions)
+    for w in automaton_words(gkat_automaton(e, tests, args.actions), args.max_actions):
         print(str(w))
     return 0
 
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("equiv", "decide equivalence of two expressions", expr2=True)
 
-    words = command("words", "dump the bounded semantics of an expression")
+    words = command("words", "list the words of an expression up to an action bound")
     words.add_argument("--max-actions", type=int, default=3)
 
     return parser
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
         return 2
     except (CapacityError, RecursionError, MemoryError) as exc:
         # the parser, guarded derivatives, guard evaluation and the printers
-        # take any depth, but the bounded semantics and the KAT route recurse
+        # take any depth, but the KAT route behind L* recurses
         reason = str(exc) or type(exc).__name__
         print("capacity exceeded: %s" % reason, file=sys.stderr)
         return 3

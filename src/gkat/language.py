@@ -1,19 +1,18 @@
-"""Bounded guarded-string semantics.
+"""Bounded guarded-string semantics, and the words of a guarded automaton.
 
-This is the brute-force reference interpretation: every operation is
-computed on explicit sets of guarded strings with at most k actions.
-It is meant as ground truth for the automaton constructions and the
-learners, not as an efficient decision procedure.
+`denote` is the brute-force reference interpretation: every operation is
+computed on explicit sets of guarded strings with at most k actions. It
+is ground truth for the automaton constructions and the learners, not a
+decision procedure. `automaton_words`, behind `gkat words`, lists the
+words of a guarded automaton up to k actions in canonical order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, Iterator, Tuple
 
 from .errors import CapacityError
 from .syntax import (
     Act,
-    Atom,
     Exp,
     GuardedString,
     IfThenElse,
@@ -28,36 +27,6 @@ from .syntax import (
 )
 
 WORD_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True)
-class BoundedLanguage:
-    """All members of a language up to an action bound."""
-
-    words: FrozenSet[GuardedString]
-
-    def __contains__(self, w: GuardedString) -> bool:
-        return w in self.words
-
-    def __len__(self):
-        return len(self.words)
-
-    def sorted_words(self, actions: Tuple[str, ...]) -> List[GuardedString]:
-        return sorted(self.words, key=lambda w: word_sort_key(w, actions))
-
-
-def word_sort_key(w: GuardedString, actions: Tuple[str, ...]):
-    """Canonical order: by action count, then lexicographic position-wise."""
-    key = [w.n_actions]
-    for a, p in zip(w.atoms, w.actions):
-        key.append(a.bits)
-        key.append(actions.index(p))
-    key.append(w.atoms[-1].bits)
-    return tuple(key)
-
-
-def _single(a: Atom) -> GuardedString:
-    return GuardedString((a,), ())
 
 
 def _fuse_sets(left, right, k, cap):
@@ -77,7 +46,7 @@ def _fuse_sets(left, right, k, cap):
 
 def _denote(e, k, ats, cap):
     if is_bexp(e):
-        return {_single(a) for a in ats if atom_satisfies(a, e)}
+        return {GuardedString((a,), ()) for a in ats if atom_satisfies(a, e)}
     if isinstance(e, Act):
         if k < 1:
             return set()
@@ -96,7 +65,7 @@ def _denote(e, k, ats, cap):
         body = _denote(e.body, k, ats, cap)
         guarded = {w for w in body if atom_satisfies(w.first_atom, e.cond)}
         # least fixpoint of the loop-prefix set, truncated at k actions
-        prefixes = {_single(a) for a in ats}
+        prefixes = {GuardedString((a,), ()) for a in ats}
         frontier = set(prefixes)
         while frontier:
             new = _fuse_sets(frontier, guarded, k, cap) - prefixes
@@ -108,42 +77,62 @@ def _denote(e, k, ats, cap):
     raise TypeError("not an expression: %r" % (e,))
 
 
-def denote(e: Exp, k: int, tests: TestSet, actions: Tuple[str, ...]) -> BoundedLanguage:
+def denote(e: Exp, k: int, tests: TestSet, actions: Tuple[str, ...]) -> FrozenSet[GuardedString]:
     """Compute the semantics of e cut off at k actions; any intermediate
     set of more than WORD_LIMIT words raises CapacityError."""
     if k < 0:
         raise ValueError("the action bound must be non-negative, got %d" % k)
     _check_actions(e, actions)
     ats = atoms(tests)
-    return BoundedLanguage(frozenset(_denote(e, k, ats, WORD_LIMIT)))
+    return frozenset(_denote(e, k, ats, WORD_LIMIT))
 
 
 def member(e: Exp, w: GuardedString, tests: TestSet, actions: Tuple[str, ...]) -> int:
     """Decide membership of one guarded string by bounded enumeration."""
-    return int(w in denote(e, w.n_actions, tests, actions).words)
+    return int(w in denote(e, w.n_actions, tests, actions))
+
+
+def automaton_words(aut, k: int) -> Iterator[GuardedString]:
+    """Yield the words of a guarded automaton with at most k actions, fewest
+    actions first, then atom by atom. counts[n][x] is the number of words with
+    n actions from x; counting stops at k, at a row of zeros, or past
+    WORD_LIMIT words from the initial state (CapacityError before any word)."""
+    delta, ats, x0 = aut.delta, atoms(aut.tests), aut.initial
+    counts, total, row, seen = [], 0, tuple(r.count(1) for r in delta), {}
+    while len(counts) <= k and any(row):
+        counts.append(seen.setdefault(row, row))  # a huge k may repeat rows 10^6 times
+        total += row[x0]
+        if total > WORD_LIMIT:
+            raise CapacityError("bounded language exceeds %d words" % WORD_LIMIT)
+        row = tuple(sum(row[e[1]] for e in r if e.__class__ is tuple) for r in delta)
+    for n in range(len(counts)):
+        stack = [(x0, n, None)]  # state, actions left, link to the letters read
+        while stack:
+            x, left, link = stack.pop()
+            if left:  # step only where words of the length left remain
+                for a, e in zip(reversed(ats), reversed(delta[x])):
+                    if e.__class__ is tuple and counts[left - 1][e[1]]:
+                        stack.append((e[1], left - 1, (link, (a, e[0]))))
+                continue
+            word = []
+            while link:
+                link, letter = link
+                word.append(letter)
+            heads, acts = tuple(zip(*word[::-1])) or ((), ())
+            for a, e in zip(ats, delta[x]):
+                if e == 1:
+                    yield GuardedString(heads + (a,), acts)
 
 
 def is_deterministic(words) -> int:
-    """Check the no-branching property of guarded languages.
-
-    Two words that agree on their first n atoms must agree on their first
-    n actions, or both stop before an n-th action.
-    """
-    return _det([(w.atoms, w.actions) for w in words])
-
-
-def _det(pairs) -> int:
-    groups = {}
-    for ats, acts in pairs:
-        groups.setdefault(ats[0], []).append((ats, acts))
-    for group in groups.values():
-        enders = [g for g in group if not g[1]]
-        steppers = [g for g in group if g[1]]
-        if enders and steppers:
-            return 0
-        if steppers:
-            if len({acts[0] for _, acts in steppers}) > 1:
-                return 0
-            if not _det([(ats[1:], acts[1:]) for ats, acts in steppers]):
+    """Check the no-branching property of guarded languages: words that agree
+    on their first n atoms agree on what follows (an action, or the end).
+    `follows` maps (prefix id, next atom) to that and the longer prefix's id."""
+    follows = {}
+    for w in words:
+        prefix = 0
+        for a, p in zip(w.atoms, w.actions + (None,)):
+            q, prefix = follows.setdefault((prefix, a), (p, len(follows) + 1))
+            if q != p:
                 return 0
     return 1

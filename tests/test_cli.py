@@ -26,6 +26,7 @@ from gkat import (
     normalize,
 )
 import gkat.cli
+import gkat.language
 import gkat.learning
 from gkat.cli import CSV_COLUMNS, main
 from gkat.syntax import MACRON
@@ -335,6 +336,30 @@ def test_words_output(capsys):
     ]
 
 
+def test_words_past_the_word_limit_print_nothing(monkeypatch, capsys):
+    """A language of more than WORD_LIMIT words exits 3 before any word is
+    printed."""
+    monkeypatch.setattr(gkat.language, "WORD_LIMIT", 3)
+    rc = main(["words", "--expr", WHILE_PROG, "--tests", "b", "--actions", "p,q",
+               "--max-actions", "2"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert "capacity" in captured.err
+
+
+def test_words_under_a_huge_action_bound(capsys):
+    """A finite language is listed whatever the bound; an infinite one exits
+    3 once its count passes WORD_LIMIT, without printing."""
+    argv = ["words", "--tests", "b", "--actions", "p", "--max-actions", "1000000000"]
+    assert main(argv + ["--expr", "do p"]) == 0
+    neg = "b" + MACRON
+    assert capsys.readouterr().out.splitlines() == [neg + "p" + neg, neg + "pb",
+                                                    "bp" + neg, "bpb"]
+    assert main(argv + ["--expr", "while b do do p"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "capacity" in captured.err
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     tests = ",".join("t%d" % i for i in range(21))
     rc = main(
@@ -394,17 +419,22 @@ DEEP_BLOCKS = {
 
 
 def test_deep_blocks_get_a_verdict(capsys):
-    """Nested branches and loops nested in parentheses get a verdict, and
-    the witness, at 1,000 and 5,000 deep: the derivative construction
-    keeps its own stack."""
+    """Nested branches and loops nested in parentheses get equiv's verdict
+    and witness, and their words, at 1,000 and 5,000 deep: the derivative
+    construction keeps its own stack."""
     neg = "b" + MACRON
     witness = {"ifs": "bp" + neg, "loops in parentheses": "bp%sq%s" % (neg, neg)}
+    words = {"ifs": [neg + "q" + neg, neg + "qb", "bp" + neg, "bpb"],
+             "loops in parentheses": [neg, "bp%sq%s" % (neg, neg)]}
     for k in (1_000, 5_000):
         for name, deep in DEEP_BLOCKS.items():
             assert _equiv_deep(deep(k, "p"), deep(k, "p")) == 0, (name, k)
             assert capsys.readouterr().out == "equivalent\n"
             assert _equiv_deep(deep(k, "p"), deep(k, "r")) == 1, (name, k)
             assert capsys.readouterr().out == "inequivalent; witness: %s\n" % witness[name]
+            assert main(["words", "--expr", deep(k, "p"), "--tests", "b",
+                         "--actions", "p,q", "--max-actions", "2"]) == 0, (name, k)
+            assert capsys.readouterr().out.splitlines() == words[name], (name, k)
 
 
 DEEP_NOTS = "not " * 5_000 + "b"
@@ -439,12 +469,11 @@ def test_5000_negations_get_verdicts(tmp_path, capsys):
 
 
 def test_deep_blocks_are_a_capacity_limit_past_the_derivative(tmp_path, capsys):
-    """The layers that still recurse per nested block (the bounded semantics
-    behind words, the KAT route behind L* and compare) exit 3 on 1,000
-    nested branches or parenthesized loops, without a traceback."""
+    """The layer that still recurses per nested block, the KAT route behind
+    L* and compare, exits 3 on 1,000 nested branches or parenthesized loops,
+    without a traceback."""
     base = ["--tests", "b", "--actions", "p,q", "--out-dir", str(tmp_path)]
     commands = {
-        "words": ["words", "--max-actions", "1", "--tests", "b", "--actions", "p,q"],
         "lstar": ["learn", "--algo", "lstar"] + base,
         "compare": ["compare"] + base,
     }

@@ -11,7 +11,9 @@ from gkat import (
     GuardedString,
     TestSet,
     atoms,
+    automaton_words,
     denote,
+    gkat_automaton,
     is_deterministic,
     member,
     parse_exp,
@@ -23,8 +25,17 @@ ACTS = ("p", "q")
 NEG, POS = atoms(T1)
 
 
+def _key(w, actions=ACTS):
+    """Canonical order: by action count, then position by position, each
+    atom by its bits and each action by its place in `actions`."""
+    key = [w.n_actions]
+    for a, p in zip(w.atoms, w.actions):
+        key += [a.bits, actions.index(p)]
+    return tuple(key + [w.atoms[-1].bits])
+
+
 def _words(lang, actions=ACTS):
-    return [str(w) for w in lang.sorted_words(actions)]
+    return [str(w) for w in sorted(lang, key=lambda w: _key(w, actions))]
 
 
 def test_while_then_action_two_rounds():
@@ -55,7 +66,7 @@ def test_seq_fuses_at_boundary():
     e = parse_exp("do p; do q", T1, ACTS)
     lang = denote(e, 2, T1, ACTS)
     assert len(lang) == 8
-    for w in lang.words:
+    for w in lang:
         assert w.actions == ("p", "q")
 
 
@@ -90,6 +101,8 @@ def test_capacity_guard(monkeypatch):
     monkeypatch.setattr(gkat.language, "WORD_LIMIT", 3)
     with pytest.raises(CapacityError):
         denote(e, 2, T1, ACTS)
+    with pytest.raises(CapacityError):  # before the first word
+        next(automaton_words(gkat_automaton(e, T1, ACTS), 2))
 
 
 def test_is_deterministic_handcrafted():
@@ -103,12 +116,18 @@ def test_is_deterministic_handcrafted():
     assert is_deterministic(frozenset()) == 1
 
 
+def test_is_deterministic_takes_long_words():
+    """One word with 5,000 actions: the check keeps no stack per action."""
+    long = GuardedString((POS,) * 5_000 + (NEG,), ("p",) * 5_000)
+    assert is_deterministic(frozenset({long})) == 1
+
+
 def test_program_languages_are_deterministic():
     rng = random.Random(11)
     for _ in range(120):
         e = rand_exp(rng, T1, ACTS, depth=4)
         lang = denote(e, 3, T1, ACTS)
-        assert is_deterministic(lang.words) == 1, str(e)
+        assert is_deterministic(lang) == 1, str(e)
 
 
 def test_bound_monotone():
@@ -117,8 +136,8 @@ def test_bound_monotone():
         e = rand_exp(rng, T1, ACTS, depth=4)
         small = denote(e, 2, T1, ACTS)
         big = denote(e, 3, T1, ACTS)
-        assert small.words <= big.words
-        for w in big.words:
+        assert small <= big
+        for w in big:
             assert (w in small) == (w.n_actions <= 2)
 
 
@@ -127,4 +146,23 @@ def test_bound_monotone():
 def test_zero_and_one_languages(k):
     assert len(denote(parse_exp("assert 0", T1, ACTS), k, T1, ACTS)) == 0
     one = denote(parse_exp("assert 1", T1, ACTS), k, T1, ACTS)
-    assert {str(w) for w in one.words} == {"b̄", "b"}
+    assert {str(w) for w in one} == {"b̄", "b"}
+
+
+def test_automaton_words_match_denote():
+    """The words of the derivative automaton are the bounded semantics, each
+    once and in canonical order, on seeded random programs and on a loop
+    whose body runs into a dead state."""
+    tests = TestSet(("a", "b"))
+    rng = random.Random(28)
+    programs = [parse_exp("while b do (do p; assert 0)", tests, ACTS)]
+    programs += [rand_exp(rng, tests, ACTS, depth=5) for _ in range(300)]
+    nonempty = 0
+    for e in programs:
+        k = rng.randint(0, 4)
+        words = list(automaton_words(gkat_automaton(e, tests, ACTS), k))
+        lang = denote(e, k, tests, ACTS)
+        assert set(words) == lang and len(words) == len(lang), (str(e), k)
+        assert words == sorted(words, key=_key), (str(e), k)
+        nonempty += bool(words)
+    assert nonempty > 100
