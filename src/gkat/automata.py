@@ -8,10 +8,11 @@ words can be checked against them.
 
 Acceptance runs and the built-in teachers' row methods walk a machine's
 Moore reading (`_Reading`), built once per machine, and check every
-letter of a word. Also included: reachability with shortest witnesses,
-normalization, bisimilarity and similarity checks, minimization for both
-machine kinds, isomorphism checks, the embedding of guarded automata
-into Moore machines, and DOT emitters.
+letter of a word, but not the tables' rows of letter numbers. Also:
+reachability with shortest witnesses, normalization, bisimilarity and
+similarity checks, minimization for both machine kinds, isomorphism
+checks, the embedding of guarded automata into Moore machines, and DOT
+emitters.
 
 Both kinds are compared through one view (`_split`): each state has a
 label and ordered successors. A guarded state's label is its row with
@@ -152,14 +153,15 @@ def _check_state(aut, x):
 class _Reading:
     """A machine's Moore reading, built once per machine (`_reading`):
     delta[x][a.bits * len(actions) + index[p]] is the state after letter
-    (a, p) and outputs[x] the output row; a guarded machine reads as its
-    `embed_moore`. The row methods answer a row from the state its prefix
-    reaches, so `asked` keeps the last column list (and atoms) asked, as
-    copies, with the answers of each state reached under them."""
+    (a, p), letter number i of `letters`, and outputs[x] the output row; a
+    guarded machine reads as its `embed_moore`. The row methods answer a
+    row from the state its prefix reaches, so `asked` keeps the last
+    column list (and atoms) asked, as copies, with each state's answers."""
 
     def __init__(self, aut):
         moore = aut if isinstance(aut, MooreAutomaton) else embed_moore(aut)
         self.tests, self.delta, self.outputs = aut.tests.tests, moore.delta, moore.outputs
+        self.actions, self.initial = aut.actions, aut.initial
         self.index = {p: i for i, p in enumerate(aut.actions)}
         self.asked = ((), None, {})  # columns, atoms (None: accepts), answers by state
 
@@ -178,6 +180,13 @@ class _Reading:
             raise ValueError("word atoms use different tests")
         return x if last is None else self.outputs[x][last.bits]
 
+    def reach(self, t) -> int:
+        """The state reached from the initial state by letter numbers t."""
+        x, delta = self.initial, self.delta
+        for i in t:
+            x = delta[x][i]
+        return x
+
     def _answers(self, columns, atoms) -> dict:
         """The answers by reached state for these columns and atoms; a new
         column list or atoms list starts an empty dict."""
@@ -185,18 +194,18 @@ class _Reading:
             self.asked = (list(columns), None if atoms is None else list(atoms), {})
         return self.asked[2]
 
-    def accepts(self, x, t, columns) -> list:
+    def accepts(self, x, columns) -> list:
         """The output bit at the end of each guarded string in columns,
-        each read from x after the letter word t."""
-        x, answers = self.walk(x, t), self._answers(columns, None)
+        each read from state x."""
+        answers = self._answers(columns, None)
         if x not in answers:
             answers[x] = [self.walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
         return answers[x].copy()
 
-    def output_rows(self, x, t, columns, atoms) -> list:
-        """The output bits at `atoms` after t + e from x, for each letter word e
-        of columns; canonical atoms read whole rows."""
-        x, answers, outputs = self.walk(x, t), self._answers(columns, atoms), self.outputs
+    def output_rows(self, x, columns, atoms) -> list:
+        """The output bits at `atoms` after each letter word e of columns
+        from state x; canonical atoms read whole rows."""
+        answers, outputs = self._answers(columns, atoms), self.outputs
         if x not in answers:
             rows = [outputs[self.walk(x, e)] for e in columns]
             if rows and any(a.tests != self.tests for a in atoms):

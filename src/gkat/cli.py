@@ -79,9 +79,9 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
 
     def on_event(kind, payload, table):
         if args.trace:
-            trace_lines.append(format_event(kind, payload))
+            trace_lines.append(format_event(kind, payload, table))
         if kind == "hypothesis":
-            tables.append(table.snapshot())
+            tables.append(table.csv_text())
 
     observe = None if out_dir is None else on_event
     actions = args.actions
@@ -99,11 +99,13 @@ def _run_one(algo, e, tests, args, out_dir=None) -> RunRecord:
 
     if out_dir is not None:
         (out_dir / ("%s.dot" % algo)).write_text(to_dot(aut), encoding="utf-8")
-        for i, (header, body) in enumerate(tables, 1):
-            _write_csv(out_dir / ("%s_table_%d.csv" % (algo, i)), header, body)
+        for i, text in enumerate(tables, 1):
+            (out_dir / ("%s_table_%d.csv" % (algo, i))).write_text(
+                text, encoding="utf-8", newline="")
         if args.trace:
+            trace_lines.append("")
             (out_dir / ("%s_trace.log" % algo)).write_text(
-                "\n".join(trace_lines) + "\n", encoding="utf-8"
+                "\n".join(trace_lines), encoding="utf-8"
             )
     return RunRecord(algo, len(tests), stats.membership_queries, stats.zero_filled,
                      stats.equivalence_queries, aut.n_states, wall_ms)

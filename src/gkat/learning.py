@@ -3,21 +3,25 @@
 Both learners run one loop over one table engine: fill the table, close it
 by promoting unmatched fringe rows, read off a hypothesis, and ask the
 teacher for equivalence; counterexamples contribute all their suffixes as
-new columns. Rows of both tables are (atom, action) letter words. The
-guarded table's columns are guarded strings, a cell is one membership
-query, and only fringe rows holding a one need a matching upper row. The
-Moore table's columns are letter words, a cell is the word's output row,
-one query per atom, and every fringe row needs a matching upper row.
+new columns. A row is a tuple of letter numbers, letter i being
+`letters(tests, actions)[i]`; rows leave a table only as (atom, action)
+letter words, in events and public teacher calls. The guarded table's
+columns are guarded strings, a cell is one membership query, and only
+fringe rows holding a one need a matching upper row. The Moore table's
+columns are letter words, a cell is the word's output row, one query per
+atom, and every fringe row needs a matching upper row. A row's contents
+are its cells' CSV text, extended as cells fill; an index maps the upper
+rows' contents to states, and a fill touches only rows missing cells.
 
-Each table reaches its teacher in one method, `_ask`: one call answers a
-row's missing cells, `answer_row` for guarded-string columns and
-`answer_outputs` for letter-word ones, which by default ask `membership`
-once per query. `GkatTeacher` and `MooreTeacher` share a base whose row
-methods answer a row from the state of the target's Moore reading that its
-prefix reaches, walking each state's answers once per column list and
-checking every letter, as long as `membership` is the base's own function:
-a subclass override or a wrapper set on either class (a logger, a counter,
-a tracer) gets every query.
+Each table reaches its teacher in one method, `_ask`. `GkatTeacher` and
+`MooreTeacher` share a base that walks the row's letter numbers on the
+target's Moore reading and answers from the state reached, each state's
+answers walked once per column list, while `membership` and the row
+method are the base's own; else the row goes as a letter word to
+`answer_row` (guarded-string columns) or `answer_outputs` (letter-word
+ones), which by default ask `membership` once per query, so a subclass
+override or a wrapper set on either class (a logger, a counter, a
+tracer) gets every query.
 An observer `on_event(kind, payload, table)` gets every event, and
 observed and unobserved runs ask alike. A non-empty ask is one `answers`
 event (prefix, tails, bits), bit i answering join(prefix, tails[i]); a
@@ -29,6 +33,7 @@ forced-zero cells without a query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, NotClosedError
@@ -83,6 +88,13 @@ class Teacher:
         singles = [GuardedString((a,), ()) for a in atoms]
         return [tuple(self.answer_row(t + e, singles)) for e in columns]
 
+    def _answers(self, table, t: tuple, columns: list, atoms=None) -> list:
+        """Answer a table's row t, letter numbers, by `answer_row`, or by
+        `answer_outputs` when `atoms` is given, with t as a letter word."""
+        if atoms is None:
+            return self.answer_row(table.word(t), columns)
+        return self.answer_outputs(table.word(t), columns, atoms)
+
 
 class _MachineTeacher(Teacher):
     """Teacher for the guarded language of a machine of either kind; its
@@ -95,20 +107,37 @@ class _MachineTeacher(Teacher):
     def membership(self, w: GuardedString) -> int:
         return accepts_gkat(self.target, self.target.initial, w)
 
-    _own_membership = membership
+    def _walks(self, method: str = "membership") -> bool:
+        """True while `membership` and `method` are this class's own."""
+        return (getattr(self.membership, "__func__", None) is _OWN["membership"]
+                and getattr(getattr(self, method), "__func__", None) is _OWN[method])
 
-    def _walks(self) -> bool:
-        return getattr(self.membership, "__func__", None) is _MachineTeacher._own_membership
+    def _answers(self, table, t: tuple, columns: list, atoms=None) -> list:
+        # walk only when no override would miss the ask and the table's letter
+        # numbers name the target's letters
+        reading = self.target._reading
+        if (not self._walks("answer_row" if atoms is None else "answer_outputs")
+                or reading.tests != table.tests.tests or reading.actions != table.actions):
+            return super()._answers(table, t, columns, atoms)
+        x = reading.reach(t)
+        return reading.accepts(x, columns) if atoms is None else reading.output_rows(
+            x, columns, atoms)
 
     def answer_row(self, t: tuple, columns: List[GuardedString]) -> list:
         if not self._walks():
             return super().answer_row(t, columns)
-        return self.target._reading.accepts(self.target.initial, t, columns)
+        reading = self.target._reading
+        return reading.accepts(reading.walk(reading.initial, t), columns)
 
     def answer_outputs(self, t: tuple, columns: List[tuple], atoms) -> list:
         if not self._walks():
             return super().answer_outputs(t, columns, atoms)
-        return self.target._reading.output_rows(self.target.initial, t, columns, atoms)
+        reading = self.target._reading
+        return reading.output_rows(reading.walk(reading.initial, t), columns, atoms)
+
+
+_OWN = {name: vars(_MachineTeacher)[name]  # as defined, whatever is set later
+        for name in ("membership", "answer_row", "answer_outputs")}
 
 
 class GkatTeacher(_MachineTeacher):
@@ -134,19 +163,28 @@ class MooreTeacher(_MachineTeacher):
 
 # ===== Event formatting =====
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bytes of bits to their digits
+
 
 def _payload_str(value) -> str:
     return str(value) if isinstance(value, GuardedString) else word_to_str(value)
 
 
-def format_event(kind: str, payload) -> str:
+def _ends(tail: GuardedString) -> tuple:
+    """The two ends of a QUERY line for this tail: its text, then its bit."""
+    text = str(tail)
+    return text + " → 0", text + " → 1"
+
+
+def format_event(kind: str, payload, table=None) -> str:
     """One trace line per learner event; an `answers` event gives one QUERY
-    line per tail, joined by newlines, with the prefix rendered once."""
+    line per tail, joined by newlines: the prefix, rendered once, then the
+    tail's end for its bit, from the asking table's own ends if given."""
     if kind == "answers":
         prefix, tails, bits = payload
-        head = "QUERY " + "".join([str(a) + p for a, p in prefix])
-        ends = (" → 0", " → 1")
-        return "\n".join([head + e._text + ends[bit] for e, bit in zip(tails, bits)])
+        head = "\nQUERY " + "".join([str(a) + p for a, p in prefix])
+        ends = map(_ends, tails) if table is None else table._tail_ends(tails)
+        return head[1:] + head.join(map(getitem, ends, bits))
     if kind == "promote":
         return "PROMOTE %s" % _payload_str(payload)
     if kind == "columns":
@@ -164,16 +202,16 @@ def format_event(kind: str, payload) -> str:
 
 
 class ObservationTable:
-    """Letter-word rows S and columns E, with cells stored row-major.
+    """Rows S and columns E, with cells stored row-major.
 
-    The upper rows S start at the empty word and stay prefix-closed; the
+    A row is a tuple of letter numbers (`word` gives its letter word); the
+    upper rows S start at the empty row and stay prefix-closed; the
     columns E stay suffix-closed and only grow at their end. Fringe rows
-    extend an upper row by one (atom, action) letter. `cells[t]` lists row
-    t's values for E[0], E[1], ...; after `fill` it holds one per column.
-    Subclasses set the cell kind: the first columns, how a counterexample
-    splits into suffixes, how a row's last missing cells are filled, which
-    fringe rows need an upper match, the hypothesis read-off, and how a
-    cell is written in snapshots.
+    extend an upper row by one letter. `cells[t]` lists row t's values for
+    E[0], E[1], ...; after `fill` it holds one per column. Subclasses set
+    the cell kind: the first columns, how a counterexample splits into
+    suffixes, how a row's missing cells are asked, which fringe rows need
+    an upper match, the hypothesis read-off, and the cells' CSV text.
     """
 
     def __init__(
@@ -197,37 +235,49 @@ class ObservationTable:
         self._e_set = set(self.E)
         self.cells: Dict[tuple, list] = {}
         self._rows = None
-        self._rendered: Dict[tuple, list] = {}
-        self._tails: List[GuardedString] = []  # a Moore table's, see its _ask
+        self._filled = 0  # all_rows()[:_filled] hold a cell per column
+        self._contents: Dict[tuple, str] = {}  # row -> its cells' CSV text
+        self._index: Dict[str, int] = {}  # upper row contents -> state
+        self._labels: Dict[tuple, str] = {}  # row -> its CSV label
+        self._header = ["row"]  # "row", then each column's text
+        self._tails: list = []  # the guarded strings asked after a row; see _ask
+        self._ends: list = []  # the QUERY line ends of each of _tails
         self._emit("columns", tuple(self.E))
 
     def _emit(self, kind, payload):
         if self.on_event is not None:
             self.on_event(kind, payload, self)
 
+    def word(self, t: tuple) -> tuple:
+        """Row t as its (atom, action) letter word."""
+        return tuple(map(self.letters.__getitem__, t))
+
     def all_rows(self) -> list:
         """The upper rows, then the fringe rows not already upper. The list
         is kept until the next `promote`; callers must not change it."""
         if self._rows is None:
-            fringe = [s + (letter,) for s in self.S for letter in self.letters]
+            fringe = [s + (i,) for s in self.S for i in range(len(self.letters))]
             self._rows = list(dict.fromkeys(self.S + fringe))
         return self._rows
 
-    def row(self, t) -> tuple:
-        return tuple(self.cells[t])
-
     def fill(self):
-        for t in self.all_rows():
-            have = len(self.cells.setdefault(t, []))
-            if have < len(self.E):
+        """Ask the missing cells of rows from `_filled` on; index upper rows."""
+        rows, cells, contents, width = self.all_rows(), self.cells, self._contents, len(self.E)
+        for t in rows[self._filled:]:
+            row = cells.setdefault(t, [])
+            have = len(row)
+            if have < width:
                 self._fill_row(t, self.E[have:])
+                contents[t] = contents.get(t, "") + self._cells_text(row[have:])
+        self._filled = len(rows)
+        self._index = {contents[s]: i for i, s in enumerate(self.S)}
         return self
 
     def unclosed_row(self):
-        upper = {self.row(s) for s in self.S}
+        index, contents = self._index, self._contents
         for t in self.all_rows()[len(self.S):]:
-            r = self.row(t)
-            if self._needs_match(r) and r not in upper:
+            r = contents[t]
+            if self._needs_match(r) and r not in index:
                 return t
         return None
 
@@ -235,7 +285,9 @@ class ObservationTable:
         self.S.append(t)
         self._s_set.add(t)
         self._rows = None
-        self._emit("promote", t)
+        if t not in self._contents:  # not a fringe row: rows before it move
+            self._filled = 0
+        self._emit("promote", self.word(t))
         self.fill()
 
     def close(self):
@@ -249,45 +301,61 @@ class ObservationTable:
                 self.E.append(e)
                 self._e_set.add(e)
         self._emit("columns", tuple(self.E))
+        self._filled = 0
         self.fill()
 
-    def _upper_index(self) -> Dict[tuple, int]:
+    def _upper_index(self) -> Dict[str, int]:
         """State number of each upper row's contents; state i is S[i]."""
-        index = {self.row(s): i for i, s in enumerate(self.S)}
-        if len(index) < len(self.S):
+        if len(self._index) < len(self.S):
             raise InternalInconsistencyError("duplicate upper rows")
-        return index
+        return self._index
 
-    def _state(self, index: Dict[tuple, int], t) -> int:
-        r = self.row(t)
+    def _state(self, index: Dict[str, int], t) -> int:
+        r = self._contents[t]
         if r not in index:
             raise NotClosedError("fringe row has no upper match")
         return index[r]
 
+    def _tail_ends(self, tails: list) -> list:
+        """Each tail's QUERY line ends, built once per tail in `_tails`."""
+        own, ends = self._tails, self._ends
+        first = len(own) - len(tails)
+        if own[first:] != tails:
+            return list(map(_ends, tails))
+        ends += map(_ends, own[len(ends):])
+        return ends[first:]
+
+    def csv_text(self) -> str:
+        """The table as CSV text: a header of the columns, then one line per
+        row of `all_rows`: its label, marked ` *` on the upper rows, which
+        come first, then its contents, with empty cells while not filled."""
+        header, labels, contents = self._header, self._labels, self._contents
+        header += map(_payload_str, self.E[len(header) - 1:])
+        lines = [",".join(header)]
+        width, upper = len(self.E), len(self.S)
+        for i, t in enumerate(self.all_rows()):
+            label = labels.get(t) or labels.setdefault(t, word_to_str(self.word(t)))
+            lines.append(label + (" *" if i < upper else "") + contents.get(t, "")
+                         + "," * (width - len(self.cells.get(t, ()))))
+        lines.append("")
+        return "\r\n".join(lines)
+
     def snapshot(self):
-        """Header and rows for external dumps. Each row's label and cells are
-        rendered once and kept, since cells never change once written."""
-        header = ["row"] + [_payload_str(e) for e in self.E]
-        body = []
-        for t in self.all_rows():
-            text = self._rendered.get(t) or self._rendered.setdefault(t, [_payload_str(t)])
-            cells = self.cells.get(t, ())
-            text += map(self._cell_str, cells[len(text) - 1:])
-            label = text[0] + " *" if t in self._s_set else text[0]
-            body.append([label] + text[1:] + [""] * (len(self.E) - len(cells)))
-        return header, body
+        """The header and rows of `csv_text`, split into fields."""
+        header, *body = self.csv_text().split("\r\n")[:-1]
+        return header.split(","), [line.split(",") for line in body]
 
 
 # ===== Guarded observation table =====
 
 
 class GlObservationTable(ObservationTable):
-    """Rows are letter words, columns are guarded strings.
+    """Rows are letter-number tuples, columns are guarded strings.
 
     The columns start with all length-one atoms, so the column of atom a
     is E[a.bits]. A cell is one membership query; only fringe rows with a
     one somewhere need a matching upper row for the table to be closed.
-    `deduced` holds one (row, column) pair per zero-filled cell.
+    `deduced` holds one (row, column index) pair per zero-filled cell.
     """
 
     def __init__(
@@ -302,13 +370,15 @@ class GlObservationTable(ObservationTable):
         self.zero_fill = zero_fill
         self.deduced = set()
         super().__init__(tests, actions, teacher, stats, on_event)
+        self._tails = self.E
 
     def _first_columns(self) -> List[GuardedString]:
         return [GuardedString((a,), ()) for a in self.atoms]
 
     _suffixes = staticmethod(suffixes_gs)
-    _needs_match = staticmethod(any)
-    _cell_str = staticmethod(str)
+    _needs_match = staticmethod(lambda r: "1" in r)
+    _cells_text = staticmethod(  # of one or more new cells
+        lambda cells: "," + ",".join(bytes(cells).translate(_DIGITS).decode()))
 
     def _deducible_zero(self, t: tuple) -> bool:
         # Fringe rows only: a cell is forced to zero when the parent row
@@ -319,21 +389,22 @@ class GlObservationTable(ObservationTable):
         parent = t[:-1]
         if parent not in self._s_set or parent not in self.cells:
             return False
-        atom, action = t[-1]
-        if self.cells[parent][atom.bits] == 1:
+        bits, action = divmod(t[-1], len(self.actions))
+        if self.cells[parent][bits] == 1:
             return True
+        first = t[-1] - action
         return any(
-            1 in self.cells.get(parent + ((atom, q),), ())
-            for q in self.actions
+            1 in self.cells.get(parent + (first + q,), ())
+            for q in range(len(self.actions))
             if q != action
         )
 
     def _ask(self, t: tuple, columns: List[GuardedString]) -> list:
-        """The membership bit of t joined to each column, one query each."""
-        bits = self.teacher.answer_row(t, columns)
+        """The membership bit of row t joined to each column, one query each."""
+        bits = self.teacher._answers(self, t, columns)
         self.stats.membership_queries += len(columns)
         if columns and self.on_event is not None:
-            self._emit("answers", (t, columns, bits))
+            self._emit("answers", (self.word(t), columns, bits))
         return bits
 
     def _fill_row(self, t: tuple, columns: List[GuardedString]):
@@ -341,7 +412,7 @@ class GlObservationTable(ObservationTable):
         # row t's own, so one answer holds while the row fills.
         if self.zero_fill and self._deducible_zero(t):
             self.cells[t] += [0] * len(columns)
-            self.deduced.update((t, e) for e in columns)
+            self.deduced.update((t, i) for i in range(len(self.E) - len(columns), len(self.E)))
             self.stats.zero_filled += len(columns)
         else:
             self.cells[t] += self._ask(t, columns)
@@ -353,20 +424,21 @@ class GlObservationTable(ObservationTable):
         if there is one, else accept iff the atom column holds a one, else
         reject.
         """
-        index = self._upper_index()
+        index, contents, k = self._upper_index(), self._contents, len(self.actions)
         delta = []
         for s in self.S:
             entries = []
             for atom in self.atoms:
-                live = [p for p in self.actions if 1 in self.cells[s + ((atom, p),)]]
+                first = atom.bits * k
+                live = [q for q in range(k) if "1" in contents[s + (first + q,)]]
                 accepts = self.cells[s][atom.bits] == 1
                 if len(live) > 1 or (live and accepts):
                     raise InternalInconsistencyError(
-                        "observations branch at %s under %s" % (word_to_str(s), atom)
+                        "observations branch at %s under %s" % (word_to_str(self.word(s)), atom)
                     )
                 if live:
-                    p = live[0]
-                    entries.append((p, self._state(index, s + ((atom, p),))))
+                    q = live[0]
+                    entries.append((self.actions[q], self._state(index, s + (first + q,))))
                 else:
                     entries.append(1 if accepts else 0)
             delta.append(tuple(entries))
@@ -377,7 +449,8 @@ class GlObservationTable(ObservationTable):
 
 
 class LStarObservationTable(ObservationTable):
-    """Classic observation table over (atom, action) letter words.
+    """Classic observation table over letter-number rows and letter-word
+    columns.
 
     The only first column is the empty word. A cell holds the whole output
     row of the word: one bit per atom, each bit one membership query.
@@ -391,18 +464,18 @@ class LStarObservationTable(ObservationTable):
     _suffixes = staticmethod(suffixes_word)
 
     @staticmethod
-    def _needs_match(r: tuple) -> bool:
+    def _needs_match(r: str) -> bool:
         return True
 
     @staticmethod
-    def _cell_str(vec: tuple) -> str:
-        return "%d" * len(vec) % vec
+    def _cells_text(cells: list) -> str:
+        return b"".join(map(b",".__add__, map(bytes, cells))).translate(_DIGITS).decode()
 
     def _ask(self, t: tuple, columns: List[tuple]) -> list:
         """The output row of t + e for each column e, one query per atom.
         The columns are the last ones of E; `_tails` holds each column's
         tails e·a, built once."""
-        outputs = self.teacher.answer_outputs(t, columns, self.atoms)
+        outputs = self.teacher._answers(self, t, columns, self.atoms)
         n = len(self.atoms)
         self.stats.membership_queries += len(columns) * n
         if columns and self.on_event is not None:
@@ -410,7 +483,8 @@ class LStarObservationTable(ObservationTable):
                 heads, acts = zip(*e) if e else ((), ())
                 self._tails += [GuardedString(heads + (a,), acts) for a in self.atoms]
             bits = [bit for row in outputs for bit in row]
-            self._emit("answers", (t, self._tails[(len(self.E) - len(columns)) * n:], bits))
+            self._emit("answers", (self.word(t), self._tails[(len(self.E) - len(columns)) * n:],
+                                   bits))
         return outputs
 
     def _fill_row(self, t: tuple, columns: List[tuple]):
@@ -418,10 +492,9 @@ class LStarObservationTable(ObservationTable):
 
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""
-        index = self._upper_index()
+        index, numbers = self._upper_index(), range(len(self.letters))
         delta = tuple(
-            tuple(self._state(index, s + (letter,)) for letter in self.letters)
-            for s in self.S
+            tuple(self._state(index, s + (i,)) for i in numbers) for s in self.S
         )
         outputs = tuple(self.cells[s][0] for s in self.S)
         return MooreAutomaton(self.tests, self.actions, delta, outputs, 0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 from operator import attrgetter
 from typing import FrozenSet, List, Optional, Tuple
@@ -368,11 +368,6 @@ class GuardedString:
         return self.atoms[-1]
 
     def __str__(self):
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        """The printed string; cached, since a trace prints each column per row."""
         rest = "".join([p + str(a) for p, a in zip(self.actions, self.atoms[1:])])
         return str(self.atoms[0]) + rest
 

@@ -1,4 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
+import csv
+import io
 import random
 import re
 from dataclasses import replace
@@ -23,6 +25,7 @@ from gkat import (
     accepts_gkat,
     atom_satisfies,
     atoms,
+    format_event,
     normalize,
     word_to_str,
 )
@@ -347,25 +350,49 @@ def reference_isomorphism(a, b, name, observable):
 def all_rows_from_scratch(table) -> list:
     """The rows of an observation table, built afresh: the upper rows, then
     the fringe rows not already upper."""
-    fringe = [s + (letter,) for s in table.S for letter in table.letters]
+    fringe = [s + (i,) for s in table.S for i in range(len(table.letters))]
     return list(dict.fromkeys(table.S + fringe))
+
+
+def _text(value):
+    return str(value) if isinstance(value, GuardedString) else word_to_str(value)
 
 
 def snapshot_from_scratch(table):
     """The header and rows of `table.snapshot()`, every label and cell
     rendered afresh; upper rows are marked ` *`, cells not yet filled are
-    empty."""
-
-    def text(value):
-        return str(value) if isinstance(value, GuardedString) else word_to_str(value)
-
-    header = ["row"] + [text(e) for e in table.E]
+    empty. A GL* cell is its bit, an L* cell its output row's bits."""
+    header = ["row"] + [_text(e) for e in table.E]
     body = []
     for t in all_rows_from_scratch(table):
-        label = text(t) + (" *" if t in table.S else "")
-        cells = [table._cell_str(v) for v in table.cells.get(t, ())]
+        label = _text(table.word(t)) + (" *" if t in table.S else "")
+        cells = [str(v) if isinstance(v, int) else "".join(map(str, v))
+                 for v in table.cells.get(t, ())]
         body.append([label] + cells + [""] * (len(table.E) - len(cells)))
     return header, body
+
+
+def csv_from_scratch(table) -> str:
+    """A table file as `learn` wrote it through `csv.writer`: the rows of
+    `snapshot_from_scratch`."""
+    handle = io.StringIO(newline="")
+    header, body = snapshot_from_scratch(table)
+    writer = csv.writer(handle)
+    writer.writerow(header)
+    writer.writerows(body)
+    return handle.getvalue()
+
+
+def format_event_from_scratch(kind, payload) -> str:
+    """`learning.format_event` as it rendered an `answers` event by one
+    concatenation per query, each tail printed afresh; other kinds as
+    `format_event` renders them."""
+    if kind != "answers":
+        return format_event(kind, payload)
+    prefix, tails, bits = payload
+    head = "QUERY " + "".join([str(a) + p for a, p in prefix])
+    ends = (" → 0", " → 1")
+    return "\n".join([head + str(e) + ends[bit] for e, bit in zip(tails, bits)])
 
 
 # The parser that `syntax.parse_exp` replaced, kept as the oracle that the

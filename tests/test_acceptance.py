@@ -69,9 +69,9 @@ def test_criterion_1_guarded_learner_walkthrough():
     table = GlObservationTable(T1, ACTS, teacher, stats)
     table.fill()
 
-    ok = table.unclosed_row() == ((NEG, "q"),)
+    ok = table.word(table.unclosed_row()) == ((NEG, "q"),)
     table.close()
-    ok = ok and [word_to_str(s) for s in table.S] == ["ε", "b̄q"]
+    ok = ok and [word_to_str(table.word(s)) for s in table.S] == ["ε", "b̄q"]
     first = table.hypothesis()
     z = teacher.equivalence(first)
     ok = ok and str(z) == "bpb̄qb̄"

@@ -9,10 +9,14 @@ from pathlib import Path
 import pytest
 
 from gkat import (
+    Atom,
     GkatTeacher,
+    GuardedString,
     IfThenElse,
+    MooreTeacher,
     TestSet,
     bisimilar,
+    embed_kat,
     embed_moore,
     exp_to_str,
     format_event,
@@ -21,6 +25,8 @@ from gkat import (
     glstar,
     is_normal,
     isomorphic,
+    kat_moore_automaton,
+    lstar_moore,
     minimize,
     moore_difference_gs,
     normalize,
@@ -30,7 +36,14 @@ import gkat.language
 import gkat.learning
 from gkat.cli import CSV_COLUMNS, main
 from gkat.syntax import MACRON
-from helpers import mutant, rand_bexp, rand_exp, rand_normal_automaton
+from helpers import (
+    csv_from_scratch,
+    format_event_from_scratch,
+    mutant,
+    rand_bexp,
+    rand_exp,
+    rand_normal_automaton,
+)
 
 WHILE_PROG = "(while b do do p); do q"
 
@@ -712,6 +725,75 @@ def test_trace_changes_no_other_file(tmp_path):
                 )
             else:
                 assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
+
+
+def _artifacts_from_scratch(e, tests, actions, algo, cx, zero_fill):
+    """The trace text and table CSVs of one learner run as `learn` wrote
+    them before it kept rendered text: every QUERY line concatenated on its
+    own, every table through `csv.writer` from freshly rendered rows."""
+    lines, tables = [], []
+
+    def on_event(kind, payload, table):
+        lines.append(format_event_from_scratch(kind, payload))
+        if kind == "hypothesis":
+            tables.append(csv_from_scratch(table))
+
+    if algo == "glstar":
+        glstar(GkatTeacher(gkat_automaton(e, tests, actions)), tests, actions,
+               cx_mode=cx, zero_fill=zero_fill, on_event=on_event)
+    else:
+        lstar_moore(MooreTeacher(kat_moore_automaton(embed_kat(e), tests, actions)),
+                    tests, actions, on_event=on_event)
+    return "\n".join(lines) + "\n", tables
+
+
+def test_learn_artifacts_equal_the_from_scratch_renderers(tmp_path, monkeypatch):
+    """On seeded random programs over one and two tests, in every learner
+    mode, the trace and every table CSV that `learn` writes equal the
+    from-scratch renderers' byte for byte. This holds on the built-in row
+    walks and with `membership` wrapped on both teacher classes, as the
+    benchmark's tracer does: then every row crosses to the teacher as a
+    letter word, and the wrapper gets each query as a guarded string over
+    atoms, as many as `stats.csv` counts."""
+    rng = random.Random(29)
+    actions = ("p", "q")
+    calls = []
+
+    def counting(fn):
+        def wrapper(self, w):
+            calls.append(w)
+            return fn(self, w)
+        return wrapper
+
+    for trial in range(10):
+        tests = TestSet(("b", "c")[: 1 + trial % 2])
+        e = rand_exp(rng, tests, actions, 4)
+        for cx in ("suffix", "optimized"):
+            for zero in (False, True):
+                want = {algo: _artifacts_from_scratch(e, tests, actions, algo, cx, zero)
+                        for algo in ("glstar", "lstar")}
+                for wrapped in (False, True):
+                    out = tmp_path / ("%d-%s-%d-%d" % (trial, cx, zero, wrapped))
+                    argv = ["learn", "--expr", exp_to_str(e), "--tests", ",".join(tests.tests),
+                            "--actions", ",".join(actions), "--algo", "both", "--trace",
+                            "--cx", cx, "--out-dir", str(out)] + ["--zero-fill"] * zero
+                    del calls[:]
+                    with monkeypatch.context() as m:
+                        for cls in (GkatTeacher, MooreTeacher) if wrapped else ():
+                            m.setattr(cls, "membership", counting(cls.membership))
+                        assert main(argv) == 0
+                    asked = sum(int(row[2]) for row in read_csv(out / "stats.csv")[1:])
+                    assert len(calls) == (asked if wrapped else 0)
+                    assert all(type(w) is GuardedString and all(type(a) is Atom for a in w.atoms)
+                               for w in calls)
+                    for algo, (trace, tables) in want.items():
+                        got = (out / ("%s_trace.log" % algo)).read_bytes().decode("utf-8")
+                        assert got == trace, (trial, algo)
+                        names = sorted(out.glob("%s_table_*.csv" % algo))
+                        assert len(names) == len(tables)
+                        for i, text in enumerate(tables, 1):
+                            got = (out / ("%s_table_%d.csv" % (algo, i))).read_bytes()
+                            assert got.decode("utf-8") == text, (trial, algo, i)
 
 
 def test_compare_validates_every_test_name(tmp_path, capsys):

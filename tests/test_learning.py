@@ -135,12 +135,12 @@ def test_glstar_table_milestones():
     table.fill()
 
     unmatched = table.unclosed_row()
-    assert unmatched == ((NEG, "q"),)
+    assert table.word(unmatched) == ((NEG, "q"),)
     with pytest.raises(NotClosedError):
         table.hypothesis()
 
     table.close()
-    assert [word_to_str(s) for s in table.S] == ["ε", "b̄q"]
+    assert [word_to_str(table.word(s)) for s in table.S] == ["ε", "b̄q"]
     hyp = table.hypothesis()
     assert hyp.n_states == 2
     assert hyp.delta[0][POS.bits] == 0  # loop atom wrongly rejects so far
@@ -218,9 +218,9 @@ def test_zero_fill_audit():
     z = teacher.equivalence(table.hypothesis())
     table.add_counterexample(z)
     assert table.deduced
-    for t, e in table.deduced:
-        assert table.cells[t][table.E.index(e)] == 0
-        assert teacher.membership(join(t, e)) == 0
+    for t, i in table.deduced:
+        assert table.cells[t][i] == 0
+        assert teacher.membership(join(table.word(t), table.E[i])) == 0
 
 
 def test_glstar_rejects_unknown_mode():
@@ -234,7 +234,7 @@ def test_hypothesis_reports_duplicate_upper_rows():
     table = GlObservationTable(T1, ACTS, GkatTeacher(target), stats)
     table.fill()
     table.close()
-    table.promote(((POS, "p"),))  # same row as the empty word
+    table.promote((table.letters.index((POS, "p")),))  # same row as the empty word
     with pytest.raises(InternalInconsistencyError):
         table.hypothesis()
 
@@ -566,6 +566,19 @@ def test_row_methods_reject_foreign_atoms():
             call()
 
 
+def test_a_target_over_another_action_order_is_asked_by_words():
+    """Letter numbers follow the table's action order. A built-in teacher
+    whose target declares the actions in another order gets each row as a
+    letter word, and the closed tables hold the same rows and cells."""
+    e = parse_exp("(while b do do p); do q", T1, ACTS)
+    targets = [gkat_automaton(e, T1, order) for order in (ACTS, ACTS[::-1])]
+    for kind, teacher in ((GlObservationTable, GkatTeacher),
+                          (LStarObservationTable, lambda t: MooreTeacher(embed_moore(t)))):
+        tables = [kind(T1, ACTS, teacher(t), QueryStats()).fill().close() for t in targets]
+        assert tables[0].S == tables[1].S and len(tables[0].S) > 1
+        assert tables[0].cells == tables[1].cells
+
+
 def test_membership_only_teacher_is_asked_once_per_cell():
     for table_kind in (GlObservationTable, LStarObservationTable):
         teacher = _ChaosTeacher()
@@ -576,7 +589,7 @@ def test_membership_only_teacher_is_asked_once_per_cell():
     teacher = _ChaosTeacher()
     table = GlObservationTable(T1, ACTS, teacher, QueryStats()).fill()
     assert teacher.asked == [
-        join(t, e) for t in table.all_rows() for e in table.E
+        join(table.word(t), e) for t in table.all_rows() for e in table.E
     ]
 
 
@@ -679,9 +692,11 @@ def test_builtin_teachers_never_take_the_per_cell_path(monkeypatch):
 
 def test_wrapped_membership_counts_every_query(monkeypatch):
     """A counting wrapper on the teachers' `membership` sees exactly the
-    queries the learners report, whether it is set on both classes or on
-    one; the learner of a class left unwrapped stays on the row walk and
-    never reaches the per-query path."""
+    queries the learners report, each a guarded string over atoms though
+    the tables keep rows as letter numbers, whether it is set on both
+    classes or on one; the learner of a class left unwrapped stays on the
+    row walk and never reaches the per-query path."""
+    from gkat import Atom
     calls = []
     per_cell = []
 
@@ -714,6 +729,8 @@ def test_wrapped_membership_counts_every_query(monkeypatch):
                                           cx_mode=mode, zero_fill=deduce)
                         if GkatTeacher in wrapped:
                             assert len(calls) == stats.membership_queries
+                            assert all(type(w) is GuardedString for w in calls)
+                            assert {type(a) for w in calls for a in w.atoms} == {Atom}
                         else:
                             assert calls == per_cell == []
                 del calls[:], per_cell[:]
@@ -722,6 +739,8 @@ def test_wrapped_membership_counts_every_query(monkeypatch):
                 )
                 if MooreTeacher in wrapped:
                     assert len(calls) == stats.membership_queries > 0
+                    assert all(type(w) is GuardedString for w in calls)
+                    assert {type(a) for w in calls for a in w.atoms} == {Atom}
                 else:
                     assert calls == per_cell == []
 
