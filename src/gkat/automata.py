@@ -154,16 +154,15 @@ class _Reading:
     """A machine's Moore reading, built once per machine (`_reading`):
     delta[x][a.bits * len(actions) + index[p]] is the state after letter
     (a, p), letter number i of `letters`, and outputs[x] the output row; a
-    guarded machine reads as its `embed_moore`. The row methods answer a
-    row from the state its prefix reaches, so `asked` keeps the last
-    column list (and atoms) asked, as copies, with each state's answers."""
+    guarded machine reads as its `embed_moore`. The row methods answer
+    from a state by walking every column; a table fill keeps their answers
+    per reached state itself (`learning.ObservationTable.fill`)."""
 
     def __init__(self, aut):
         moore = aut if isinstance(aut, MooreAutomaton) else embed_moore(aut)
         self.tests, self.delta, self.outputs = aut.tests.tests, moore.delta, moore.outputs
         self.actions, self.initial = aut.actions, aut.initial
         self.index = {p: i for i, p in enumerate(aut.actions)}
-        self.asked = ((), None, {})  # columns, atoms (None: accepts), answers by state
 
     def walk(self, x, word, last=None):
         """The state reached from x by a word of (atom, action) letters, or the
@@ -180,41 +179,21 @@ class _Reading:
             raise ValueError("word atoms use different tests")
         return x if last is None else self.outputs[x][last.bits]
 
-    def reach(self, t) -> int:
-        """The state reached from the initial state by letter numbers t."""
-        x, delta = self.initial, self.delta
-        for i in t:
-            x = delta[x][i]
-        return x
-
-    def _answers(self, columns, atoms) -> dict:
-        """The answers by reached state for these columns and atoms; a new
-        column list or atoms list starts an empty dict."""
-        if columns != self.asked[0] or atoms != self.asked[1]:
-            self.asked = (list(columns), None if atoms is None else list(atoms), {})
-        return self.asked[2]
-
     def accepts(self, x, columns) -> list:
         """The output bit at the end of each guarded string in columns,
         each read from state x."""
-        answers = self._answers(columns, None)
-        if x not in answers:
-            answers[x] = [self.walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
-        return answers[x].copy()
+        return [self.walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
 
     def output_rows(self, x, columns, atoms) -> list:
         """The output bits at `atoms` after each letter word e of columns
         from state x; canonical atoms read whole rows."""
-        answers, outputs = self._answers(columns, atoms), self.outputs
-        if x not in answers:
-            rows = [outputs[self.walk(x, e)] for e in columns]
-            if rows and any(a.tests != self.tests for a in atoms):
-                raise ValueError("word atoms use different tests")
-            picked = [a.bits for a in atoms]
-            if rows and picked != list(range(len(outputs[0]))):
-                rows = [tuple([row[i] for i in picked]) for row in rows]
-            answers[x] = rows
-        return answers[x].copy()
+        rows = [self.outputs[self.walk(x, e)] for e in columns]
+        if rows and any(a.tests != self.tests for a in atoms):
+            raise ValueError("word atoms use different tests")
+        picked = [a.bits for a in atoms]
+        if rows and picked != list(range(len(self.outputs[0]))):
+            rows = [tuple([row[i] for i in picked]) for row in rows]
+        return rows
 
 
 def accepts_gkat(aut, state: int, w: GuardedString) -> int:

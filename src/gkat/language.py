@@ -8,6 +8,7 @@ words of a guarded automaton up to k actions in canonical order.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import FrozenSet, Iterator, Tuple
 
 from .errors import CapacityError
@@ -96,22 +97,36 @@ def automaton_words(aut, k: int) -> Iterator[GuardedString]:
     """Yield the words of a guarded automaton with at most k actions, fewest
     actions first, then atom by atom. counts[n][x] is the number of words with
     n actions from x; counting stops at k, at a row of zeros, or past
-    WORD_LIMIT words from the initial state (CapacityError before any word)."""
+    WORD_LIMIT words from the initial state (CapacityError before any word).
+    From the first row seen twice the rows repeat: the rest of the total up
+    to k is summed over that period, rows past it are read from it, and
+    only lengths with words from the initial state are walked."""
     delta, ats, x0 = aut.delta, atoms(aut.tests), aut.initial
-    counts, total, row, seen = [], 0, tuple(r.count(1) for r in delta), {}
-    while len(counts) <= k and any(row):
-        counts.append(seen.setdefault(row, row))  # a huge k may repeat rows 10^6 times
+    counts, total, row, first = [], 0, tuple(r.count(1) for r in delta), {}
+    while len(counts) <= k and any(row) and row not in first and total <= WORD_LIMIT:
+        first[row] = len(counts)
+        counts.append(row)
         total += row[x0]
-        if total > WORD_LIMIT:
-            raise CapacityError("bounded language exceeds %d words" % WORD_LIMIT)
         row = tuple(sum(row[e[1]] for e in r if e.__class__ is tuple) for r in delta)
-    for n in range(len(counts)):
+    lengths, at = range(len(counts)), counts.__getitem__
+    if len(counts) <= k and row in first:  # from length s on, length m has cycle[(m - s) % p]
+        s, cycle = len(counts), counts[first[row]:]
+        p, hits = len(cycle), [i for i, r in enumerate(cycle) if r[x0]]
+        full, part = divmod(k + 1 - s, p)
+        total += sum(cycle[i][x0] * (full + (i < part)) for i in hits)
+        lengths = chain(lengths, (m for j in range(s, k + 1 if hits else s, p)
+                                  for m in (j + i for i in hits) if m <= k))
+        at = lambda m: counts[m] if m < s else cycle[(m - s) % p]
+    if total > WORD_LIMIT:
+        raise CapacityError("bounded language exceeds %d words" % WORD_LIMIT)
+    for n in lengths:
         stack = [(x0, n, None)]  # state, actions left, link to the letters read
         while stack:
             x, left, link = stack.pop()
             if left:  # step only where words of the length left remain
+                below = at(left - 1)
                 for a, e in zip(reversed(ats), reversed(delta[x])):
-                    if e.__class__ is tuple and counts[left - 1][e[1]]:
+                    if e.__class__ is tuple and below[e[1]]:
                         stack.append((e[1], left - 1, (link, (a, e[0]))))
                 continue
             word = []

@@ -13,15 +13,17 @@ atom, and every fringe row needs a matching upper row. A row's contents
 are its cells' CSV text, extended as cells fill; an index maps the upper
 rows' contents to states, and a fill touches only rows missing cells.
 
-Each table reaches its teacher in one method, `_ask`. `GkatTeacher` and
-`MooreTeacher` share a base that walks the row's letter numbers on the
-target's Moore reading and answers from the state reached, each state's
-answers walked once per column list, while `membership` and the row
-method are the base's own; else the row goes as a letter word to
-`answer_row` (guarded-string columns) or `answer_outputs` (letter-word
-ones), which by default ask `membership` once per query, so a subclass
-override or a wrapper set on either class (a logger, a counter, a
-tracer) gets every query.
+Each fill decides once how its teacher answers (`Teacher._reading_for`).
+`GkatTeacher` and `MooreTeacher` share a base whose target's Moore
+reading the fill walks, while `membership` and the row method are the
+base's own: a row costs its walk to a state, and the answers for each
+(reached state, first missing column), their text and event bits are
+made once per fill and shared by every row that reaches it. Else each
+row goes as a letter word to `answer_row` (guarded-string columns) or
+`answer_outputs` (letter-word ones), which by default ask `membership`
+once per query, so a subclass override or a wrapper set on either class
+(a logger, a counter, a tracer) gets every query. `_ask` asks one row
+alone, the same way.
 An observer `on_event(kind, payload, table)` gets every event, and
 observed and unobserved runs ask alike. A non-empty ask is one `answers`
 event (prefix, tails, bits), bit i answering join(prefix, tails[i]); a
@@ -88,12 +90,10 @@ class Teacher:
         singles = [GuardedString((a,), ()) for a in atoms]
         return [tuple(self.answer_row(t + e, singles)) for e in columns]
 
-    def _answers(self, table, t: tuple, columns: list, atoms=None) -> list:
-        """Answer a table's row t, letter numbers, by `answer_row`, or by
-        `answer_outputs` when `atoms` is given, with t as a letter word."""
-        if atoms is None:
-            return self.answer_row(table.word(t), columns)
-        return self.answer_outputs(table.word(t), columns, atoms)
+    def _reading_for(self, table):
+        """The target reading whose letter numbers a table's rows walk, or
+        None: each row then goes to the table's public row method."""
+        return None
 
 
 class _MachineTeacher(Teacher):
@@ -112,16 +112,12 @@ class _MachineTeacher(Teacher):
         return (getattr(self.membership, "__func__", None) is _OWN["membership"]
                 and getattr(getattr(self, method), "__func__", None) is _OWN[method])
 
-    def _answers(self, table, t: tuple, columns: list, atoms=None) -> list:
+    def _reading_for(self, table):
         # walk only when no override would miss the ask and the table's letter
         # numbers name the target's letters
         reading = self.target._reading
-        if (not self._walks("answer_row" if atoms is None else "answer_outputs")
-                or reading.tests != table.tests.tests or reading.actions != table.actions):
-            return super()._answers(table, t, columns, atoms)
-        x = reading.reach(t)
-        return reading.accepts(x, columns) if atoms is None else reading.output_rows(
-            x, columns, atoms)
+        same = reading.tests == table.tests.tests and reading.actions == table.actions
+        return reading if same and self._walks(table._method) else None
 
     def answer_row(self, t: tuple, columns: List[GuardedString]) -> list:
         if not self._walks():
@@ -244,6 +240,8 @@ class ObservationTable:
         self._ends: list = []  # the QUERY line ends of each of _tails
         self._emit("columns", tuple(self.E))
 
+    zero_fill = False  # only the guarded table deduces cells
+
     def _emit(self, kind, payload):
         if self.on_event is not None:
             self.on_event(kind, payload, self)
@@ -261,17 +259,51 @@ class ObservationTable:
         return self._rows
 
     def fill(self):
-        """Ask the missing cells of rows from `_filled` on; index upper rows."""
-        rows, cells, contents, width = self.all_rows(), self.cells, self._contents, len(self.E)
+        """Fill the missing cells of rows from `_filled` on, in row order, and
+        index the upper rows. How the teacher answers is decided once per
+        fill (`Teacher._reading_for`). On its target's reading a row costs
+        its walk to a state, and `memo` keeps the answers for each (state,
+        first missing column), with their text and event bits, for every row
+        that reaches it; else each row goes to the public row method.
+        Zero-fill deduces row by row, after the siblings filled before."""
+        rows, cells, contents, E = self.all_rows(), self.cells, self._contents, self.E
+        width, reading, memo, stats = len(E), self.teacher._reading_for(self), {}, self.stats
+        delta, x0 = (reading.delta, reading.initial) if reading else ((), 0)
         for t in rows[self._filled:]:
             row = cells.setdefault(t, [])
             have = len(row)
-            if have < width:
-                self._fill_row(t, self.E[have:])
-                contents[t] = contents.get(t, "") + self._cells_text(row[have:])
+            if have == width:
+                continue
+            if self.zero_fill and (hit := self._deduce(t, have)):
+                pass  # deduced: zeros, no query
+            elif reading is None:
+                hit = self._answer(t, E[have:])
+            else:
+                x = x0
+                for i in t:
+                    x = delta[x][i]
+                if (hit := memo.get((x, have))) is None:
+                    hit = memo[x, have] = self._answer(t, E[have:], reading, x)
+            row += hit[0]
+            contents[t] = contents.get(t, "") + hit[1]
+            stats.membership_queries += hit[2]
+            if hit[2] and self.on_event is not None:
+                self._emit("answers", (self.word(t),) + hit[3])
         self._filled = len(rows)
         self._index = {contents[s]: i for i, s in enumerate(self.S)}
         return self
+
+    def _ask(self, t: tuple, columns: list) -> list:
+        """Row t's answers for these columns, asked on its own as `fill`
+        asks a row: `_answer` gives the cells, their text, the query count
+        and the `answers` event's tails and bits."""
+        reading = self.teacher._reading_for(self)
+        hit = self._answer(t, columns, reading, reading and reading.walk(
+            reading.initial, self.word(t)))
+        self.stats.membership_queries += hit[2]
+        if hit[2] and self.on_event is not None:
+            self._emit("answers", (self.word(t),) + hit[3])
+        return hit[0]
 
     def unclosed_row(self):
         index, contents = self._index, self._contents
@@ -376,46 +408,36 @@ class GlObservationTable(ObservationTable):
         return [GuardedString((a,), ()) for a in self.atoms]
 
     _suffixes = staticmethod(suffixes_gs)
+    _method = "answer_row"
     _needs_match = staticmethod(lambda r: "1" in r)
     _cells_text = staticmethod(  # of one or more new cells
         lambda cells: "," + ",".join(bytes(cells).translate(_DIGITS).decode()))
 
-    def _deducible_zero(self, t: tuple) -> bool:
+    def _answer(self, t: tuple, columns: List[GuardedString], reading=None, x=None):
+        """Row t's bit for each column, one query each, read from state x of
+        the reading if given, else asked by `answer_row`."""
+        bits = (self.teacher.answer_row(self.word(t), columns) if reading is None
+                else reading.accepts(x, columns))
+        return bits, self._cells_text(bits), len(columns), (columns, bits)
+
+    def _deduce(self, t: tuple, have: int):
         # Fringe rows only: a cell is forced to zero when the parent row
         # accepts at the last atom, or when a sibling on another action is
-        # already known to reach an accepting continuation.
-        if not t or t in self._s_set:
-            return False
-        parent = t[:-1]
-        if parent not in self._s_set or parent not in self.cells:
-            return False
+        # already known to reach an accepting continuation. This reads only
+        # the parent's and the siblings' cells, never row t's own.
+        parent, cells = t[:-1], self.cells
+        if not t or t in self._s_set or parent not in self._s_set or parent not in cells:
+            return None
         bits, action = divmod(t[-1], len(self.actions))
-        if self.cells[parent][bits] == 1:
-            return True
         first = t[-1] - action
-        return any(
-            1 in self.cells.get(parent + (first + q,), ())
-            for q in range(len(self.actions))
-            if q != action
-        )
-
-    def _ask(self, t: tuple, columns: List[GuardedString]) -> list:
-        """The membership bit of row t joined to each column, one query each."""
-        bits = self.teacher._answers(self, t, columns)
-        self.stats.membership_queries += len(columns)
-        if columns and self.on_event is not None:
-            self._emit("answers", (self.word(t), columns, bits))
-        return bits
-
-    def _fill_row(self, t: tuple, columns: List[GuardedString]):
-        # Deducibility reads only the parent's and the siblings' cells, never
-        # row t's own, so one answer holds while the row fills.
-        if self.zero_fill and self._deducible_zero(t):
-            self.cells[t] += [0] * len(columns)
-            self.deduced.update((t, i) for i in range(len(self.E) - len(columns), len(self.E)))
-            self.stats.zero_filled += len(columns)
-        else:
-            self.cells[t] += self._ask(t, columns)
+        if cells[parent][bits] != 1 and not any(
+                1 in cells.get(parent + (first + q,), ())
+                for q in range(len(self.actions)) if q != action):
+            return None
+        zeros = [0] * (len(self.E) - have)
+        self.deduced.update((t, i) for i in range(have, len(self.E)))
+        self.stats.zero_filled += len(zeros)
+        return zeros, self._cells_text(zeros), 0, None
 
     def hypothesis(self) -> GkatAutomaton:
         """Read off the automaton; state i is the row of S[i].
@@ -462,6 +484,7 @@ class LStarObservationTable(ObservationTable):
         return [()]
 
     _suffixes = staticmethod(suffixes_word)
+    _method = "answer_outputs"
 
     @staticmethod
     def _needs_match(r: str) -> bool:
@@ -471,24 +494,22 @@ class LStarObservationTable(ObservationTable):
     def _cells_text(cells: list) -> str:
         return b"".join(map(b",".__add__, map(bytes, cells))).translate(_DIGITS).decode()
 
-    def _ask(self, t: tuple, columns: List[tuple]) -> list:
-        """The output row of t + e for each column e, one query per atom.
-        The columns are the last ones of E; `_tails` holds each column's
-        tails e·a, built once."""
-        outputs = self.teacher._answers(self, t, columns, self.atoms)
-        n = len(self.atoms)
-        self.stats.membership_queries += len(columns) * n
-        if columns and self.on_event is not None:
+    def _answer(self, t: tuple, columns: List[tuple], reading=None, x=None):
+        """The output row of t + e for each column e, one query per atom,
+        read from state x of the reading if given, else asked by
+        `answer_outputs`. The columns are the last ones of E; `_tails`
+        holds each column's tails e·a, built once."""
+        ats, n = self.atoms, len(self.atoms)
+        outputs = (self.teacher.answer_outputs(self.word(t), columns, ats) if reading is None
+                   else reading.output_rows(x, columns, ats))
+        told = None
+        if self.on_event is not None:
             for e in self.E[len(self._tails) // n:]:
                 heads, acts = zip(*e) if e else ((), ())
-                self._tails += [GuardedString(heads + (a,), acts) for a in self.atoms]
-            bits = [bit for row in outputs for bit in row]
-            self._emit("answers", (self.word(t), self._tails[(len(self.E) - len(columns)) * n:],
-                                   bits))
-        return outputs
-
-    def _fill_row(self, t: tuple, columns: List[tuple]):
-        self.cells[t] += self._ask(t, columns)
+                self._tails += [GuardedString(heads + (a,), acts) for a in ats]
+            told = (self._tails[(len(self.E) - len(columns)) * n:],
+                    [bit for row in outputs for bit in row])
+        return outputs, self._cells_text(outputs), len(columns) * n, told
 
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""

@@ -9,6 +9,7 @@ from typing import List, Optional, Tuple
 from gkat import (
     Act,
     And,
+    CapacityError,
     GkatAutomaton,
     GuardedString,
     IfThenElse,
@@ -29,6 +30,7 @@ from gkat import (
     normalize,
     word_to_str,
 )
+from gkat import language
 from gkat.automata import _bfs, _check_same_alphabet, _pairs, _split
 from gkat.construct import _numbering, _Residuals
 from gkat.syntax import (
@@ -393,6 +395,43 @@ def format_event_from_scratch(kind, payload) -> str:
     head = "QUERY " + "".join([str(a) + p for a, p in prefix])
     ends = (" → 0", " → 1")
     return "\n".join([head + str(e) + ends[bit] for e, bit in zip(tails, bits)])
+
+
+# The counting loop that `language.automaton_words` closed arithmetically
+# over the period of its count rows, kept as the oracle for its verdicts
+# and words.
+
+
+def reference_automaton_words(aut, k):
+    """The words of a guarded automaton with at most k actions, canonical
+    order, counting every length up to k (or up to a row of zeros) first;
+    CapacityError, before any word, past `language.WORD_LIMIT` words."""
+    limit = language.WORD_LIMIT
+    delta, ats, x0 = aut.delta, atoms(aut.tests), aut.initial
+    counts, total, row = [], 0, tuple(r.count(1) for r in delta)
+    while len(counts) <= k and any(row):
+        counts.append(row)
+        total += row[x0]
+        if total > limit:
+            raise CapacityError("bounded language exceeds %d words" % limit)
+        row = tuple(sum(row[e[1]] for e in r if e.__class__ is tuple) for r in delta)
+    for n in range(len(counts)):
+        stack = [(x0, n, None)]
+        while stack:
+            x, left, link = stack.pop()
+            if left:
+                for a, e in zip(reversed(ats), reversed(delta[x])):
+                    if e.__class__ is tuple and counts[left - 1][e[1]]:
+                        stack.append((e[1], left - 1, (link, (a, e[0]))))
+                continue
+            word = []
+            while link:
+                link, letter = link
+                word.append(letter)
+            heads, acts = tuple(zip(*word[::-1])) or ((), ())
+            for a, e in zip(ats, delta[x]):
+                if e == 1:
+                    yield GuardedString(heads + (a,), acts)
 
 
 # The parser that `syntax.parse_exp` replaced, kept as the oracle that the

@@ -18,7 +18,7 @@ from gkat import (
     member,
     parse_exp,
 )
-from helpers import rand_exp
+from helpers import rand_automaton, rand_exp, reference_automaton_words
 
 T1 = TestSet(("b",))
 ACTS = ("p", "q")
@@ -103,6 +103,71 @@ def test_capacity_guard(monkeypatch):
         denote(e, 2, T1, ACTS)
     with pytest.raises(CapacityError):  # before the first word
         next(automaton_words(gkat_automaton(e, T1, ACTS), 2))
+
+
+SPARSE_LOOP = "while b do (%s; do p)" % "; ".join(["do p; assert b"] * 9)
+
+
+def test_sparse_infinite_language_passes_the_limit_at_once():
+    """One word per ten actions: at k = 10^9 the count passes WORD_LIMIT
+    near 10^7 actions, which the period of the count rows gives at once."""
+    import time
+
+    aut = gkat_automaton(parse_exp(SPARSE_LOOP, T1, ("p",)), T1, ("p",))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        next(automaton_words(aut, 10**9))
+    assert time.perf_counter() - start < 1.0
+    words = list(automaton_words(aut, 100))
+    assert words == list(reference_automaton_words(aut, 100))
+    assert [w.n_actions for w in words] == [0] + [n for n in range(1, 101) if n % 10 == 0]
+
+
+def test_counting_at_a_huge_bound_stops_early():
+    """At k = 10^9 a growing language passes WORD_LIMIT within a few dozen
+    count rows, and an initial state without words, beside a state that
+    loops, lists nothing without walking the lengths up to k."""
+    import time
+
+    from gkat import GkatAutomaton
+
+    tests = TestSet(("b", "c"))
+    e = parse_exp("while b do (if c then do p else do q)", tests, ACTS)
+    mute = GkatAutomaton(T1, ("p",), ((0, 0), (1, ("p", 1))), 0)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        next(automaton_words(gkat_automaton(e, tests, ACTS), 10**9))
+    assert list(automaton_words(mute, 10**9)) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def _outcome(words):
+    """The words listed, or "capacity" when listing raised before any."""
+    try:
+        return list(words)
+    except CapacityError:
+        return "capacity"
+
+
+def test_automaton_words_equal_the_counting_loop(monkeypatch):
+    """On random automata, reachable or not, and action bounds 0-60 under a
+    small WORD_LIMIT, the capacity verdict and the words listed equal those
+    of the loop that counts every length."""
+    monkeypatch.setattr(gkat.language, "WORD_LIMIT", 40)
+    rng = random.Random(30)
+    seen = {"capacity": 0, "listed": 0, "infinite": 0}
+    for _ in range(150):
+        tests = TestSet(("a", "b")[:rng.randint(1, 2)])
+        aut = rand_automaton(rng, tests, ("p", "q")[:rng.randint(1, 2)], 5)
+        for k in sorted({0, 1, 2, 60} | {rng.randint(0, 60) for _ in range(4)}):
+            got = _outcome(automaton_words(aut, k))
+            assert got == _outcome(reference_automaton_words(aut, k)), (aut, k)
+            seen["capacity" if got == "capacity" else "listed"] += 1
+            # a word longer than the machine has states pumps: the language
+            # is infinite, and its count rows ran on to k
+            if got != "capacity" and got and max(w.n_actions for w in got) > aut.n_states:
+                seen["infinite"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_is_deterministic_handcrafted():

@@ -745,6 +745,111 @@ def test_wrapped_membership_counts_every_query(monkeypatch):
                     assert calls == per_cell == []
 
 
+def test_each_fill_walks_a_reached_state_once(monkeypatch):
+    """On the walking path a fill walks the target's answers at most once
+    per (reached state, first missing column), and every other row that
+    reaches that pair shares them: checked over one learner run of each
+    table, whose fills ask more rows than they walk."""
+    from gkat.automata import _Reading
+
+    fills = []  # per fill: the (state, columns asked) walks, then the rows filled
+    current = []
+
+    def walked(method):
+        def wrapper(reading, x, columns, *rest):
+            if current:
+                current[0].append((x, len(columns)))
+            return method(reading, x, columns, *rest)
+        return wrapper
+
+    def counted(fill):
+        def wrapper(table):
+            width = len(table.E)
+            rows = sum(len(table.cells.get(t, ())) < width
+                       for t in table.all_rows()[table._filled:])
+            current[:] = [[]]
+            try:
+                return fill(table)
+            finally:
+                fills.append((current.pop(), rows))
+        return wrapper
+
+    monkeypatch.setattr(_Reading, "accepts", walked(_Reading.accepts))
+    monkeypatch.setattr(_Reading, "output_rows", walked(_Reading.output_rows))
+    monkeypatch.setattr(ObservationTable, "fill", counted(ObservationTable.fill))
+    tests = TestSet(("b", "c"))
+    e = parse_exp("(while b do (if c then do p else do q)); do p; assert c", tests, ACTS)
+    target = gkat_automaton(e, tests, ACTS)
+    runs = [lambda: glstar(GkatTeacher(target), tests, ACTS),
+            lambda: lstar_moore(MooreTeacher(embed_moore(target)), tests, ACTS)]
+    for run in runs:
+        del fills[:]
+        run()
+        assert fills and all(len(set(walks)) == len(walks) <= rows for walks, rows in fills)
+        walks = sum(len(walks) for walks, _ in fills)
+        rows = sum(rows for _, rows in fills)
+        assert 0 < walks < rows / 4, (walks, rows)
+
+
+def test_a_sibling_filled_earlier_in_the_pass_deduces_a_later_row(monkeypatch):
+    """Zero-fill deduces row by row in row order, so a fringe row can be
+    forced to zero by a sibling filled earlier in the same fill. The
+    walking path deduces the same cells as the per-cell path that a
+    wrapped `membership` takes: `deduced`, the zero-filled count and the
+    trace are equal."""
+    from gkat.learning import _learn
+
+    sibling_forced = []
+
+    def watched(deduce):
+        def wrapper(table, t, have):
+            hit = deduce(table, t, have)
+            if hit:  # forced by a sibling's one that this fill asked?
+                parent, (bits, action) = t[:-1], divmod(t[-1], len(table.actions))
+                siblings = [parent + (t[-1] - action + q,) for q in range(len(table.actions))
+                            if q != action]
+                sibling_forced.append(table.cells[parent][bits] != 1 and any(
+                    1 in table.cells.get(u, [])[table._before.get(u, 0):] for u in siblings))
+            return hit
+        return wrapper
+
+    def marked(fill):
+        def wrapper(table):
+            table._before = {t: len(cells) for t, cells in table.cells.items()}
+            return fill(table)
+        return wrapper
+
+    def run(target, tests):
+        log, on_event = record_events()
+        table = GlObservationTable(tests, ACTS, GkatTeacher(target), QueryStats(),
+                                   zero_fill=True, on_event=on_event)
+        _learn(table, False)
+        return sorted(table.deduced), table.stats.zero_filled, lines_of(log)
+
+    monkeypatch.setattr(GlObservationTable, "_deduce", watched(GlObservationTable._deduce))
+    monkeypatch.setattr(ObservationTable, "fill", marked(ObservationTable.fill))
+    asked = []
+
+    def counting(fn):
+        def wrapper(self, w):
+            asked.append(w)
+            return fn(self, w)
+        return wrapper
+
+    tests = TestSet(("b", "c"))
+    e = parse_exp("(while b do (if c then do p else do q)); do p; assert c", tests, ACTS)
+    for target, tests in ((loop_target(), T1), (gkat_automaton(e, tests, ACTS), tests)):
+        del sibling_forced[:]
+        walked = run(target, tests)
+        assert any(sibling_forced)
+        with monkeypatch.context() as m:
+            m.setattr(GkatTeacher, "membership", counting(GkatTeacher.membership))
+            del asked[:]
+            assert run(target, tests) == walked
+            assert asked
+        assert walked[1] == len(walked[0]) > 0
+
+
 def _query_lines(log) -> list:
     """The QUERY lines of a log, one per query."""
     return [line for line in lines_of(log) if line.startswith("QUERY ")]
