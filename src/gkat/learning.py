@@ -150,8 +150,8 @@ class GkatTeacher(_MachineTeacher):
 
 
 class MooreTeacher(_MachineTeacher):
-    """Teacher for the guarded language of a Moore machine; counterexamples
-    are letter words."""
+    """Teacher for the guarded language of a machine of either kind, a
+    guarded one read as its Moore unfolding; counterexamples are letter words."""
 
     def equivalence(self, hypothesis: MooreAutomaton):
         return moore_difference(hypothesis, self.target)

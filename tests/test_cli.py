@@ -481,21 +481,52 @@ def test_5000_negations_get_verdicts(tmp_path, capsys):
         assert answers[0] == answers[1], command
 
 
-def test_deep_blocks_are_a_capacity_limit_past_the_derivative(tmp_path, capsys):
-    """The layer that still recurses per nested block, the KAT route behind
-    L* and compare, exits 3 on 1,000 nested branches or parenthesized loops,
-    without a traceback."""
+def test_deep_blocks_are_learned_and_compared(tmp_path, capsys):
+    """Both learners take any depth: `learn --algo both` and `compare`
+    answer on 1,000 and 5,000 nested branches and parenthesized loops with
+    the counts of the one-block program of the same language."""
     base = ["--tests", "b", "--actions", "p,q", "--out-dir", str(tmp_path)]
-    commands = {
-        "lstar": ["learn", "--algo", "lstar"] + base,
-        "compare": ["compare"] + base,
-    }
+    counts = {"ifs": (2, 18, 1), "loops in parentheses": (2, 36, 2)}
     for name, deep in DEEP_BLOCKS.items():
-        for command, argv in commands.items():
-            assert main(argv + ["--expr", deep(1_000, "p")]) == 3, (name, command)
-            err = capsys.readouterr().err
-            assert "capacity" in err, (name, command)
-            assert "Traceback" not in err, (name, command)
+        gl_states, gl_mq, gl_eq = counts[name]
+        want = {
+            "learn": "glstar: %d states, %d membership queries (0 deduced), "
+                     "%d equivalence queries\n"
+                     "lstar: 3 states, 78 membership queries (0 deduced), "
+                     "2 equivalence queries\n" % (gl_states, gl_mq, gl_eq),
+            "compare": "n=1 glstar: %d membership, %d equivalence, %d states\n"
+                       "n=1 lstar: 78 membership, 2 equivalence, 3 states\n"
+                       % (gl_mq, gl_eq, gl_states),
+        }
+        for k in (1, 1_000, 5_000):
+            for command, argv in (("learn", ["learn", "--algo", "both"]),
+                                  ("compare", ["compare"])):
+                assert main(argv + base + ["--expr", deep(k, "p")]) == 0, (name, k, command)
+                assert capsys.readouterr().out == want[command], (name, k, command)
+
+
+def test_learners_share_one_derivative_automaton(tmp_path, monkeypatch):
+    """`learn --algo both` builds one derivative automaton for both
+    learners, and `compare` one per sweep step; neither takes the KAT
+    route."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return gkat_automaton(*args)
+
+    def refuse(*args):
+        raise AssertionError("the KAT route is not a CLI path")
+
+    monkeypatch.setattr(gkat.cli, "gkat_automaton", counting)
+    monkeypatch.setattr(gkat.cli, "embed_kat", refuse)
+    monkeypatch.setattr(gkat.cli, "kat_moore_automaton", refuse)
+    base = ["--expr", WHILE_PROG, "--actions", "p,q", "--out-dir", str(tmp_path)]
+    assert main(["learn", "--algo", "both", "--tests", "b"] + base) == 0
+    assert len(built) == 1
+    del built[:]
+    assert main(["compare", "--sweep", "2", "--tests", "b,c"] + base) == 0
+    assert [len(args[1].tests) for args in built] == [1, 2]
 
 
 def _equiv_by_minimization(a1, a2):

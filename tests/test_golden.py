@@ -3,9 +3,10 @@
 `gkat.cli.main` runs in process on a fixed corpus of commands. One sha256
 covers, for every command, its exit code, stdout, stderr and each file it
 wrote, with the `wall_ms` column of the CSVs dropped. The pin guards the
-learned DOT files, the table snapshots, the traces (whose L* states come
-from the numbering of the KAT route), the stats rows and the word order
-of `gkat words`.
+learned DOT files, the table snapshots, the traces (whose L* states are
+the learner's own: its queries and counterexamples depend only on the
+target's language, not on the machine its teacher reads), the stats rows
+and the word order of `gkat words`.
 """
 import csv
 import hashlib
