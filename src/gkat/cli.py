@@ -11,9 +11,10 @@ L* both learn the one derivative automaton, as built, of each expression.
 The parser is built once per process. `main` looks up `cmd_<command>`
 by name on every call, so a patched command is the one that runs, and
 calls it inside one mapping of errors to exit codes.
-Learner events are observed only for the files written: `learn` snapshots
-the table at each `hypothesis` and, under --trace, formats every event (an
-ask's `answers` as its QUERY lines). `compare` writes compare.csv, unobserved.
+Learner events are observed only for the files written, which `learn`
+writes as the run goes: a table CSV at each `hypothesis` and, under
+--trace, every event's UTF-8 text (an ask's `answers` as its QUERY lines),
+streamed to the trace file. `compare` writes compare.csv, unobserved.
 Exit codes: 0 success or equivalent, 1 inequivalent, 2 bad input or an
 unwritable output directory, 3 capacity, 4 internal inconsistency.
 """
@@ -23,6 +24,7 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -40,7 +42,7 @@ from .language import automaton_words
 from .automata import gkat_dot, moore_difference_gs, moore_dot
 # bound, never called here: the benchmark's tracer patches embed_kat, kat_moore_automaton
 from .construct import gkat_automaton, kat_moore_automaton
-from .learning import GkatTeacher, MooreTeacher, format_event, glstar, lstar_moore
+from .learning import GkatTeacher, MooreTeacher, event_bytes, glstar, lstar_moore
 
 
 @dataclass
@@ -69,43 +71,36 @@ def _algos(args) -> Tuple[str, ...]:
 
 
 def _run_one(algo, target, tests, args, out_dir=None) -> RunRecord:
-    """Run one learner against a target machine; `wall_ms` times it alone.
+    """Run one learner against a target; `wall_ms` times it with its files.
 
-    Learner events are observed only when there is an `out_dir` to write
-    the table snapshots (and, with `args.trace`, the trace) into; without
-    the trace no event is formatted.
+    Learner events are observed only when there is an `out_dir`: each
+    table snapshot is written at its `hypothesis` and, with `args.trace`,
+    each event's trace bytes as it arrives; a learner that raises leaves
+    them closed and complete. Without the trace no event is formatted.
     """
-    trace_lines = []
-    tables = []
-
     def on_event(kind, payload, table):
-        if args.trace:
-            trace_lines.append(format_event(kind, payload, table))
-        if kind == "hypothesis":
-            tables.append(table.csv_text())
+        if trace is not None:
+            trace.writelines((event_bytes(kind, payload, table), b"\n"))
+        if kind == "hypothesis":  # numbered by the hypotheses made so far
+            name = "%s_table_%d.csv" % (algo, len(table.stats.hypothesis_sizes))
+            (out_dir / name).write_text(table.csv_text(), encoding="utf-8", newline="")
 
     observe = None if out_dir is None else on_event
     actions = args.actions
-    start = time.perf_counter()
-    if algo == "glstar":
-        aut, stats = glstar(GkatTeacher(target), tests, actions, cx_mode=args.cx,
-                            zero_fill=args.zero_fill, on_event=observe)
-        to_dot = gkat_dot
-    else:
-        aut, stats = lstar_moore(MooreTeacher(target), tests, actions, on_event=observe)
-        to_dot = moore_dot
-    wall_ms = int(round((time.perf_counter() - start) * 1000))
+    traced = out_dir is not None and args.trace
+    with open(out_dir / ("%s_trace.log" % algo), "wb") if traced else nullcontext() as trace:
+        start = time.perf_counter()
+        if algo == "glstar":
+            aut, stats = glstar(GkatTeacher(target), tests, actions, cx_mode=args.cx,
+                                zero_fill=args.zero_fill, on_event=observe)
+            to_dot = gkat_dot
+        else:
+            aut, stats = lstar_moore(MooreTeacher(target), tests, actions, on_event=observe)
+            to_dot = moore_dot
+        wall_ms = int(round((time.perf_counter() - start) * 1000))
 
     if out_dir is not None:
         (out_dir / ("%s.dot" % algo)).write_text(to_dot(aut), encoding="utf-8")
-        for i, text in enumerate(tables, 1):
-            (out_dir / ("%s_table_%d.csv" % (algo, i))).write_text(
-                text, encoding="utf-8", newline="")
-        if args.trace:
-            trace_lines.append("")
-            (out_dir / ("%s_trace.log" % algo)).write_text(
-                "\n".join(trace_lines), encoding="utf-8"
-            )
     return RunRecord(algo, len(tests), stats.membership_queries, stats.zero_filled,
                      stats.equivalence_queries, aut.n_states, wall_ms)
 

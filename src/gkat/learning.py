@@ -17,20 +17,20 @@ Each fill decides once how its teacher answers (`Teacher._reading_for`).
 `GkatTeacher` and `MooreTeacher` share a base whose target's Moore
 reading the fill walks, while `membership` and the row method are the
 base's own: a row costs its walk to a state, and the answers for each
-(reached state, first missing column), their text and event bits are
-made once per fill and shared by every row that reaches it. Else each
-row goes as a letter word to `answer_row` (guarded-string columns) or
-`answer_outputs` (letter-word ones), which by default ask `membership`
-once per query, so a subclass override or a wrapper set on either class
-(a logger, a counter, a tracer) gets every query. `_ask` asks one row
-alone, the same way.
+(reached state, first missing column), their text, event bits and QUERY
+line ends are made once per fill and shared by every row that reaches
+it. Else each row goes as a letter word to `answer_row` (guarded-string
+columns) or `answer_outputs` (letter-word ones), which by default ask
+`membership` once per query, so a subclass override or a wrapper set on
+either class (a logger, a counter, a tracer) gets every query. `_ask`
+asks one row alone, the same way.
 An observer `on_event(kind, payload, table)` gets every event, and
 observed and unobserved runs ask alike. A non-empty ask is one `answers`
 event (prefix, tails, bits), bit i answering join(prefix, tails[i]); a
 guarded ask's tails are its columns, a Moore ask's e·a for each of its
-columns e and each atom a. Query counters tally every cell a table asks,
-however the teacher answers it; an optional guarded-table mode fills
-forced-zero cells without a query.
+columns e and each atom a; `event_bytes` renders an event's trace text.
+Query counters tally every cell a table asks, however the teacher answers
+it; an optional guarded-table mode fills forced-zero cells without a query.
 """
 from __future__ import annotations
 
@@ -166,21 +166,41 @@ def _payload_str(value) -> str:
     return str(value) if isinstance(value, GuardedString) else word_to_str(value)
 
 
-def _ends(tail: GuardedString) -> tuple:
-    """The two ends of a QUERY line for this tail: its text, then its bit."""
+def _end_pair(tail: GuardedString) -> tuple:
+    """The two UTF-8 ends of a QUERY line for this tail: its text, then its bit."""
     text = str(tail)
-    return text + " → 0", text + " → 1"
+    return (text + " → 0").encode(), (text + " → 1").encode()
+
+
+def event_bytes(kind: str, payload, table=None) -> bytes:
+    """`format_event`'s text in UTF-8: an `answers` event's QUERY lines join
+    its prefix, encoded once, to each tail's end for its bit. The event a
+    table has just told (`_tell`) joins the table's letter bytes and its
+    ends per tail, selected once per memo entry and kept in the entry."""
+    if kind != "answers":
+        return format_event(kind, payload).encode()
+    prefix, tails, bits = payload
+    told = None if table is None else table._told
+    if told is not None and told[0] is payload:
+        _, t, hit = told
+        if hit[4] is None:
+            own, pairs = table._tails, table._pairs
+            pairs += map(_end_pair, own[len(pairs):])
+            first = len(own) - len(tails)
+            hit[4] = list(map(getitem, pairs[first:] if own[first:] == tails
+                              else map(_end_pair, tails), bits))
+        head, ends = b"\nQUERY " + table._text(t), hit[4]
+    else:
+        head = ("\nQUERY " + "".join([str(a) + p for a, p in prefix])).encode()
+        ends = map(getitem, map(_end_pair, tails), bits)
+    return head[1:] + head.join(ends)
 
 
 def format_event(kind: str, payload, table=None) -> str:
     """One trace line per learner event; an `answers` event gives one QUERY
-    line per tail, joined by newlines: the prefix, rendered once, then the
-    tail's end for its bit, from the asking table's own ends if given."""
+    line per tail, joined by newlines, as `event_bytes` renders them."""
     if kind == "answers":
-        prefix, tails, bits = payload
-        head = "\nQUERY " + "".join([str(a) + p for a, p in prefix])
-        ends = map(_ends, tails) if table is None else table._tail_ends(tails)
-        return head[1:] + head.join(map(getitem, ends, bits))
+        return event_bytes(kind, payload, table).decode()
     if kind == "promote":
         return "PROMOTE %s" % _payload_str(payload)
     if kind == "columns":
@@ -225,6 +245,7 @@ class ObservationTable:
         self.on_event = on_event
         self.atoms = atoms(tests)
         self.letters = letters(tests, self.actions)
+        self._letter_bytes = None  # each letter's UTF-8 text; see _text
         self.S = [()]
         self._s_set = {()}
         self.E = self._first_columns()
@@ -237,7 +258,8 @@ class ObservationTable:
         self._labels: Dict[tuple, str] = {}  # row -> its CSV label
         self._header = ["row"]  # "row", then each column's text
         self._tails: list = []  # the guarded strings asked after a row; see _ask
-        self._ends: list = []  # the QUERY line ends of each of _tails
+        self._pairs: list = []  # the QUERY line end pairs of each of _tails
+        self._told = None  # the last answers event, its row and memo entry
         self._emit("columns", tuple(self.E))
 
     zero_fill = False  # only the guarded table deduces cells
@@ -249,6 +271,18 @@ class ObservationTable:
     def word(self, t: tuple) -> tuple:
         """Row t as its (atom, action) letter word."""
         return tuple(map(self.letters.__getitem__, t))
+
+    def _text(self, t: tuple) -> bytes:
+        """Row t's letter word as UTF-8 text, empty for the empty row."""
+        if self._letter_bytes is None:  # on first use: `compare` renders no row
+            self._letter_bytes = [(str(a) + p).encode() for a, p in self.letters]
+        return b"".join(map(self._letter_bytes.__getitem__, t))
+
+    def _tell(self, t: tuple, hit: list):
+        """Emit row t's `answers` event; `_told` keeps it with t and `hit`."""
+        payload = (self.word(t),) + hit[3]
+        self._told = payload, t, hit
+        self._emit("answers", payload)
 
     def all_rows(self) -> list:
         """The upper rows, then the fringe rows not already upper. The list
@@ -288,21 +322,21 @@ class ObservationTable:
             contents[t] = contents.get(t, "") + hit[1]
             stats.membership_queries += hit[2]
             if hit[2] and self.on_event is not None:
-                self._emit("answers", (self.word(t),) + hit[3])
+                self._tell(t, hit)
         self._filled = len(rows)
         self._index = {contents[s]: i for i, s in enumerate(self.S)}
         return self
 
     def _ask(self, t: tuple, columns: list) -> list:
         """Row t's answers for these columns, asked on its own as `fill`
-        asks a row: `_answer` gives the cells, their text, the query count
-        and the `answers` event's tails and bits."""
+        asks a row: `_answer` gives the cells, their text, the query count,
+        the `answers` event's tails and bits, and a slot for its QUERY ends."""
         reading = self.teacher._reading_for(self)
         hit = self._answer(t, columns, reading, reading and reading.walk(
             reading.initial, self.word(t)))
         self.stats.membership_queries += hit[2]
         if hit[2] and self.on_event is not None:
-            self._emit("answers", (self.word(t),) + hit[3])
+            self._tell(t, hit)
         return hit[0]
 
     def unclosed_row(self):
@@ -348,15 +382,6 @@ class ObservationTable:
             raise NotClosedError("fringe row has no upper match")
         return index[r]
 
-    def _tail_ends(self, tails: list) -> list:
-        """Each tail's QUERY line ends, built once per tail in `_tails`."""
-        own, ends = self._tails, self._ends
-        first = len(own) - len(tails)
-        if own[first:] != tails:
-            return list(map(_ends, tails))
-        ends += map(_ends, own[len(ends):])
-        return ends[first:]
-
     def csv_text(self) -> str:
         """The table as CSV text: a header of the columns, then one line per
         row of `all_rows`: its label, marked ` *` on the upper rows, which
@@ -366,7 +391,7 @@ class ObservationTable:
         lines = [",".join(header)]
         width, upper = len(self.E), len(self.S)
         for i, t in enumerate(self.all_rows()):
-            label = labels.get(t) or labels.setdefault(t, word_to_str(self.word(t)))
+            label = labels.get(t) or labels.setdefault(t, self._text(t).decode() or "ε")
             lines.append(label + (" *" if i < upper else "") + contents.get(t, "")
                          + "," * (width - len(self.cells.get(t, ()))))
         lines.append("")
@@ -418,7 +443,7 @@ class GlObservationTable(ObservationTable):
         the reading if given, else asked by `answer_row`."""
         bits = (self.teacher.answer_row(self.word(t), columns) if reading is None
                 else reading.accepts(x, columns))
-        return bits, self._cells_text(bits), len(columns), (columns, bits)
+        return [bits, self._cells_text(bits), len(columns), (columns, bits), None]
 
     def _deduce(self, t: tuple, have: int):
         # Fringe rows only: a cell is forced to zero when the parent row
@@ -509,7 +534,7 @@ class LStarObservationTable(ObservationTable):
                 self._tails += [GuardedString(heads + (a,), acts) for a in ats]
             told = (self._tails[(len(self.E) - len(columns)) * n:],
                     [bit for row in outputs for bit in row])
-        return outputs, self._cells_text(outputs), len(columns) * n, told
+        return [outputs, self._cells_text(outputs), len(columns) * n, told, None]
 
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""

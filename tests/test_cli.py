@@ -13,6 +13,7 @@ from gkat import (
     GkatTeacher,
     GuardedString,
     IfThenElse,
+    InternalInconsistencyError,
     MooreTeacher,
     TestSet,
     bisimilar,
@@ -701,10 +702,10 @@ def test_sweep_must_be_positive(tmp_path, capsys):
 def test_events_are_formatted_only_for_a_trace(tmp_path, monkeypatch, capsys):
     """Neither compare nor learn without --trace formats a learner event."""
 
-    def refuse(kind, payload):
+    def refuse(kind, payload, table):
         raise AssertionError("formatted a %s event" % kind)
 
-    monkeypatch.setattr(gkat.cli, "format_event", refuse)
+    monkeypatch.setattr(gkat.cli, "event_bytes", refuse)
     base = ["--expr", WHILE_PROG, "--tests", "b,c", "--actions", "p,q",
             "--out-dir", str(tmp_path)]
     assert main(["compare"] + base + ["--sweep", "2"]) == 0
@@ -756,6 +757,38 @@ def test_trace_changes_no_other_file(tmp_path):
                 )
             else:
                 assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
+
+
+def test_a_stopped_learn_keeps_what_it_wrote(tmp_path, monkeypatch, capsys):
+    """A learner that raises at its second equivalence query (exit 4)
+    leaves a closed trace, equal to the full run's up to and including
+    its second HYPOTHESIS line, and the two table CSVs the full run wrote
+    at those hypotheses; the DOT and stats.csv are never written."""
+    argv = ["learn", "--expr", "(while b do do p); (while c do do q); do p",
+            "--tests", "b,c", "--actions", "p,q", "--trace"]
+    full, stopped = tmp_path / "full", tmp_path / "stopped"
+    assert main(argv + ["--out-dir", str(full)]) == 0
+    assert (full / "glstar_table_3.csv").exists()
+    equivalence, asked = GkatTeacher.equivalence, []
+
+    def second_raises(self, hypothesis):
+        asked.append(hypothesis)
+        if len(asked) == 2:
+            raise InternalInconsistencyError("stopped at the second hypothesis")
+        return equivalence(self, hypothesis)
+
+    monkeypatch.setattr(GkatTeacher, "equivalence", second_raises)
+    assert main(argv + ["--out-dir", str(stopped)]) == 4
+    assert capsys.readouterr().err == "internal error: stopped at the second hypothesis\n"
+    lines = (full / "glstar_trace.log").read_bytes().split(b"\n")
+    second = [i for i, line in enumerate(lines) if line.startswith(b"HYPOTHESIS")][1]
+    trace = (stopped / "glstar_trace.log").read_bytes()
+    assert trace.endswith(b"\n")
+    assert trace == b"\n".join(lines[:second + 1] + [b""])
+    assert sorted(f.name for f in stopped.iterdir()) == [
+        "glstar_table_1.csv", "glstar_table_2.csv", "glstar_trace.log"]
+    for name in ("glstar_table_1.csv", "glstar_table_2.csv"):
+        assert (stopped / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def _artifacts_from_scratch(e, tests, actions, algo, cx, zero_fill):

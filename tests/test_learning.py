@@ -33,7 +33,12 @@ from gkat import (
     word_to_str,
 )
 from gkat.learning import ObservationTable
-from helpers import all_rows_from_scratch, rand_normal_automaton, snapshot_from_scratch
+from helpers import (
+    all_rows_from_scratch,
+    format_event_from_scratch,
+    rand_normal_automaton,
+    snapshot_from_scratch,
+)
 
 T1 = TestSet(("b",))
 ACTS = ("p", "q")
@@ -921,6 +926,43 @@ def test_every_observer_gets_one_answers_event_per_ask():
         assert table._ask((), []) == [] and log == []
     with pytest.raises(ValueError, match="unknown event kind"):
         format_event("query", (GuardedString((NEG,), ()), 0))
+
+
+def test_every_event_renders_alike_with_and_without_its_table(monkeypatch):
+    """`format_event(kind, payload, table)`, which renders a table's own
+    `answers` event from the table's encoded pieces and the ends kept in
+    its memo entry, equals `format_event(kind, payload)` and the
+    from-scratch renderer on every event of GL* in each mode and of L*.
+    This holds on the built-in row walks, where rows share memo entries,
+    and with `membership` wrapped, where every row has its own entry."""
+    rng = random.Random(41)
+    targets = [(tests, rand_normal_automaton(rng, tests, ACTS, 5))
+               for tests in (T1, TestSet(("b", "c"))) for _ in range(10)]
+
+    def wrapped(fn):
+        return lambda self, w: fn(self, w)
+
+    for wrap in (False, True):
+        asked = []
+
+        def on_event(kind, payload, table):
+            text = format_event(kind, payload)
+            assert format_event(kind, payload, table) == text
+            assert format_event_from_scratch(kind, payload) == text
+            if kind == "answers":
+                asked.append(payload[2])  # kept alive, so ids stay distinct
+
+        with monkeypatch.context() as m:
+            for cls in (GkatTeacher, MooreTeacher) if wrap else ():
+                m.setattr(cls, "membership", wrapped(cls.membership))
+            for tests, target in targets:
+                for mode in ("suffix", "optimized"):
+                    for deduce in (False, True):
+                        glstar(GkatTeacher(target), tests, ACTS, cx_mode=mode,
+                               zero_fill=deduce, on_event=on_event)
+                lstar_moore(MooreTeacher(target), tests, ACTS, on_event=on_event)
+        shared = len(asked) - len({id(bits) for bits in asked})
+        assert (shared == 0) if wrap else (shared > len(asked) // 2), (wrap, shared)
 
 
 def test_observed_tables_hold_no_reference_cycle():
