@@ -37,15 +37,24 @@ be matched, a reject need not be), so it is not equality of labels, but
 the automata are deterministic, so one walk over the pairs reachable
 from (x, y) by steps on the same action decides it.
 
-Each whole-machine routine reads a machine once per call. `minimize`,
-`minimize_moore` and the isomorphism checks build its `_table` (every
-state's `_split`, in a list) and pass that lookup to each routine they
-run; `minimize` checks normality from it too. `bisimilar` and the
-difference searches stay lazy: they split only the pairs they visit. The
-isomorphism checks test that a is reachable, then (for `isomorphic`)
-observable, then that b is reachable, and then run the pair search; b is
-refined only when the search proves no map, since a copy of an
-observable machine is observable. `normalize` keeps every row without a
+Each whole-machine routine reads a machine once per call. `minimize` and
+`minimize_moore` build its `_table` (every state's `_split`, in a list)
+for the reachability search and the refinement, and drop it before the
+quotient is built. A table row is a tuple of tuples of ints and strings,
+which the cyclic collector stops tracking once it has survived a
+collection or two. Normality (`is_normal`, `normalize` and the check in
+`minimize`) is read from the rows' steps, with no labels built.
+`_quotient`, behind `minimize` and `reachable`, builds one (action,
+target) tuple per distinct step and shares it among the rows that take
+it. `bisimilar` and the difference searches stay lazy: they split only
+the pairs they visit. The isomorphism checks read a into its table,
+refine it (for `isomorphic`), and run the pair search, splitting b as it
+is reached. A search that finds no label difference and whose visited
+pairs form a bijection proves both inputs reachable; only a search that
+proves no map is followed by the reachability searches and by reading b
+into a table and refining it (a copy of an observable machine is
+observable). The errors keep one order: a unreachable, a not observable,
+b unreachable, b not observable. `normalize` keeps every row without a
 step into a dead state as the same tuple.
 """
 from __future__ import annotations
@@ -229,7 +238,7 @@ def _split(aut):
                 succ.append(e[1])
             else:
                 label.append(e)
-        return tuple(label), succ
+        return tuple(label), tuple(succ)
 
     return split
 
@@ -391,17 +400,30 @@ def _word(pred, node, alphabet) -> Tuple[Tuple[Atom, str], ...]:
     return tuple(reversed(word))
 
 
-def _quotient(aut, reps, block):
+def _classes(aut):
+    """`_refine` on the reachable states, read from the machine's table;
+    the table is dropped on return, before a quotient is built."""
+    split = _table(aut)
+    return _refine(split, list(_bfs(split, aut.initial)))
+
+
+def _quotient(aut, block, reps):
     """The machine of either kind whose state i is reps[i], each target y
-    renumbered block[y]."""
+    renumbered block[y]. A guarded result holds one step tuple per
+    distinct (action, block), shared by every row that takes it."""
     if isinstance(aut, MooreAutomaton):
         delta = tuple([tuple([block[y] for y in aut.delta[x]]) for x in reps])
         outputs = tuple([aut.outputs[x] for x in reps])
         return MooreAutomaton(aut.tests, aut.actions, delta, outputs, block[aut.initial])
-    delta = tuple([
-        tuple([(e[0], block[e[1]]) if isinstance(e, tuple) else e for e in aut.delta[x]])
-        for x in reps
-    ])
+    rows = [aut.delta[x] for x in reps]
+    steps = dict.fromkeys(e for row in rows for e in row if isinstance(e, tuple))
+    shared = {}
+    for e in steps:
+        step = e[0], block[e[1]]
+        steps[e] = shared.setdefault(step, step)
+    del shared  # not held while the rows are built
+    # an entry that is not a step (0 or 1) maps to itself
+    delta = tuple([tuple(map(steps.get, row, row)) for row in rows])
     return GkatAutomaton(aut.tests, aut.actions, delta, block[aut.initial])
 
 
@@ -417,22 +439,21 @@ def reachable(aut: GkatAutomaton):
     order = list(pred)
     alphabet = letters(aut.tests, aut.actions)
     witnesses = tuple(_word(pred, x, alphabet) for x in order)
-    return _quotient(aut, order, {x: i for i, x in enumerate(order)}), witnesses
+    return _quotient(aut, {x: i for i, x in enumerate(order)}, order), witnesses
 
 
-def _live_states(aut, split):
+def _live_states(aut):
     """States with a nonempty language, by a backward search from the
     states that accept on some atom, and the states with a step to a state
-    outside them; split is `_split` of the machine or its `_table`. The
-    accepts are read from the rows, not the labels, where an action could
-    equal 1."""
+    outside them; both are read from the rows alone."""
     preds = [[] for _ in aut.delta]
     stack = []
     for x, row in enumerate(aut.delta):
         if 1 in row:
             stack.append(x)
-        for y in split(x)[1]:
-            preds[y].append(x)
+        for e in row:
+            if isinstance(e, tuple):
+                preds[e[1]].append(x)
     live = set(stack)
     while stack:
         for x in preds[stack.pop()]:
@@ -444,13 +465,13 @@ def _live_states(aut, split):
 
 def is_normal(aut: GkatAutomaton) -> int:
     """1 iff every step leads to a state with nonempty language."""
-    return int(not _live_states(aut, _split(aut))[1])
+    return int(not _live_states(aut)[1])
 
 
 def normalize(aut: GkatAutomaton) -> GkatAutomaton:
     """Rewrite steps into dead states as rejections; preserves languages.
     A row without such a step is kept as the same tuple."""
-    live, dirty = _live_states(aut, _split(aut))
+    live, dirty = _live_states(aut)
     delta = tuple([
         tuple([0 if isinstance(e, tuple) and e[1] not in live else e for e in row])
         if x in dirty or type(row) is not tuple else row
@@ -519,32 +540,39 @@ def minimize(aut: GkatAutomaton) -> GkatAutomaton:
     Requires a normal automaton; for those the result is the unique
     smallest normal automaton for the language, up to isomorphism.
     """
-    split = _table(aut)
-    if _live_states(aut, split)[1]:
+    if _live_states(aut)[1]:
         raise NotNormalError("minimize needs a normal automaton")
-    block, reps = _refine(split, list(_bfs(split, aut.initial)))
-    return _quotient(aut, reps, block)
+    return _quotient(aut, *_classes(aut))
 
 
 def _isomorphism(a, b, name, observable):
     """Isomorphism of reachable inputs (observable too, if asked): the
     pair search from the initial states finds no label difference and its
-    visited pairs form a bijection. Each input is read once, into its
-    table; b is refined only when the search proves no map."""
+    visited pairs form a bijection. a is read once, into its table, and
+    refined first; b is split as the search reaches it. A bijection proves
+    both inputs reachable, so only when the search proves no map are the
+    reachability searches run and b read into a table and refined. The
+    errors keep one order: a unreachable, a not observable, b unreachable,
+    b not observable."""
     _check_same_alphabet(a, b)
-    split_a = _table(a)
-    order = list(_bfs(split_a, a.initial))
-    if len(order) != a.n_states:
+    n, split_a = a.n_states, _table(a)
+    # on a reachable a, all states are the reachable ones
+    merged = observable and len(_refine(split_a, list(range(n)))[1]) != n
+    pred, differ = _pairs(split_a, _split(b), (a.initial, b.initial), limit=n)
+    size, mapping = len(pred), dict(pred.keys())
+    del pred  # the pairs are not needed past here
+    if differ is None and size == len(mapping) == len(set(mapping.values())) == n == b.n_states:
+        if merged:
+            raise ValueError("%s needs observable inputs" % name)
+        return 1, mapping
+    if len(_bfs(split_a, a.initial)) != n:
         raise ValueError("%s needs reachable inputs" % name)
-    if observable and len(_refine(split_a, order)[1]) != a.n_states:
+    if merged:
         raise ValueError("%s needs observable inputs" % name)
     split_b = _table(b)
     order = list(_bfs(split_b, b.initial))
     if len(order) != b.n_states:
         raise ValueError("%s needs reachable inputs" % name)
-    pred, differ = _pairs(split_a, split_b, (a.initial, b.initial), limit=a.n_states)
-    if differ is None and len(pred) == a.n_states == b.n_states:
-        return 1, dict(pred.keys())
     if observable and len(_refine(split_b, order)[1]) != b.n_states:
         raise ValueError("%s needs observable inputs" % name)
     return 0, None
@@ -581,14 +609,12 @@ def embed_moore(aut: GkatAutomaton) -> MooreAutomaton:
 def moore_reachable(aut: MooreAutomaton) -> MooreAutomaton:
     """Restrict to reachable states, renumbered in discovery order."""
     order = list(_bfs(_split(aut), aut.initial))
-    return _quotient(aut, order, {x: i for i, x in enumerate(order)})
+    return _quotient(aut, {x: i for i, x in enumerate(order)}, order)
 
 
 def minimize_moore(aut: MooreAutomaton) -> MooreAutomaton:
     """Standard Moore machine minimization, deterministic state order."""
-    split = _table(aut)
-    block, reps = _refine(split, list(_bfs(split, aut.initial)))
-    return _quotient(aut, reps, block)
+    return _quotient(aut, *_classes(aut))
 
 
 def moore_isomorphic(

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -935,3 +936,83 @@ def test_normality_reads_accepts_from_rows():
         assert normalize(aut).delta == reference_normalize(aut).delta == ((0, 0),)
         assert _outcome(minimize, aut) == _outcome(reference_minimize, aut)
         assert _outcome(minimize, aut)[0] == "NotNormalError"
+
+
+def test_quotients_share_each_step():
+    """minimize and reachable hold one step tuple per distinct (action,
+    target), however many rows take it."""
+    rng = random.Random(3131)
+    T2 = TestSet(("b", "c"))
+    repeats = 0
+    for trial in range(6):
+        raw = _rand_machine(rng, (T1, T2)[trial % 2], ACTS, rng.randint(50, 300))
+        for out in (reachable(raw)[0], minimize(normalize(raw))):
+            steps = [e for row in out.delta for e in row if isinstance(e, tuple)]
+            assert len({id(e) for e in steps}) == len(set(steps))
+            repeats += len(steps) - len(set(steps))
+    assert repeats > 0
+
+
+def test_table_rows_are_dropped_by_the_collector():
+    """A machine's table holds only tuples of ints and strings, so after
+    two collections the collector tracks none of its rows."""
+    rng = random.Random(3232)
+    raw = _rand_machine(rng, TestSet(("b", "c")), ACTS, 200)
+    for aut in (raw, normalize(raw), minimize(normalize(raw)), embed_moore(raw)):
+        rows = list(map(automata._table(aut), range(aut.n_states)))
+        # the first collection untracks each row's label and successors,
+        # the second the row that holds them
+        gc.collect()
+        gc.collect()
+        assert rows and not any(map(gc.is_tracked, rows))
+
+
+def _twin(rng, aut):
+    """A reachable, non-observable copy of a minimal machine: one step is
+    redirected to a new twin of its target state; None if every such copy
+    leaves some state unreachable."""
+    steps = [(x, bits) for x, row in enumerate(aut.delta)
+             for bits, e in enumerate(row) if isinstance(e, tuple)]
+    rng.shuffle(steps)
+    for x, bits in steps:
+        p, y = aut.delta[x][bits]
+        delta = list(aut.delta) + [aut.delta[y]]
+        delta[x] = tuple((p, aut.n_states) if b == bits else e for b, e in enumerate(delta[x]))
+        twin = GkatAutomaton(aut.tests, aut.actions, tuple(delta), aut.initial)
+        if reachable(twin)[0].n_states == twin.n_states:
+            return twin
+    return None
+
+
+def test_isomorphism_errors_come_in_order():
+    """An unreachable a is reported first, then a non-observable a, whether
+    or not it is isomorphic to b, then an unreachable b, and then a
+    non-observable b; on seeded minimal machines of at least 10 states."""
+    rng = random.Random(3333)
+    T2 = TestSet(("b", "c"))
+    reach, observe = "isomorphic needs reachable inputs", "isomorphic needs observable inputs"
+    for trial in range(6):
+        twin = None
+        while twin is None:
+            raw = _rand_machine(rng, (T1, T2)[trial % 2], ACTS, rng.randint(100, 400))
+            small = minimize(normalize(raw))
+            twin = _twin(rng, small) if small.n_states >= 10 else None
+        # an unreachable, non-observable copy of the initial state
+        cut = replace(small, delta=small.delta + (small.delta[small.initial],))
+        assert minimize(twin).n_states == small.n_states
+        cases = [
+            (cut, twin, reach),
+            (cut, small, reach),
+            (twin, renumbered(rng, twin), observe),  # isomorphic to b
+            (twin, small, observe),  # not isomorphic to b
+            (twin, cut, observe),
+            (small, cut, reach),
+            (small, twin, observe),
+        ]
+        for a, b, error in cases:
+            assert _outcome(isomorphic, a, b) == ("ValueError", error)
+        assert isomorphic(small, renumbered(rng, small))[0] == 1
+        ms, mc = embed_moore(small), embed_moore(cut)
+        for a, b in ((mc, ms), (ms, mc)):
+            assert _outcome(moore_isomorphic, a, b) == (
+                "ValueError", "moore_isomorphic needs reachable inputs")
