@@ -7,8 +7,10 @@ one bit per atom. Both carry their test and action declarations so
 words can be checked against them.
 
 Acceptance runs and the built-in teachers' row methods walk a machine's
-Moore reading (`_Reading`), built once per machine, and check every
-letter of a word, but not the tables' rows of letter numbers. Also:
+Moore reading (`_reading`), a `MooreAutomaton`: a Moore machine is its
+own reading, a guarded one reads as its `embed_moore`, built once per
+machine. The walks check every letter of a word, but not the tables'
+rows of letter numbers. Also:
 reachability with shortest witnesses, normalization, bisimilarity and
 similarity checks, minimization for both machine kinds, isomorphism
 checks, the embedding of guarded automata into Moore machines, and DOT
@@ -115,7 +117,7 @@ class GkatAutomaton:
     def n_states(self) -> int:
         return len(self.delta)
 
-    _reading = cached_property(lambda self: _Reading(self))
+    _reading = cached_property(lambda self: embed_moore(self))
 
 
 @dataclass(frozen=True)
@@ -148,35 +150,13 @@ class MooreAutomaton:
     def n_states(self) -> int:
         return len(self.delta)
 
-    _reading = cached_property(lambda self: _Reading(self))
+    _reading = property(lambda self: self)  # a Moore machine is its own reading
+    _index = cached_property(lambda self: {p: i for i, p in enumerate(self.actions)})
 
-
-# ===== Acceptance =====
-
-
-def _check_state(aut, x):
-    if not 0 <= x < len(aut.delta):
-        raise ValueError("state %r out of range" % (x,))
-
-
-class _Reading:
-    """A machine's Moore reading, built once per machine (`_reading`):
-    delta[x][a.bits * len(actions) + index[p]] is the state after letter
-    (a, p), letter number i of `letters`, and outputs[x] the output row; a
-    guarded machine reads as its `embed_moore`. The row methods answer
-    from a state by walking every column; a table fill keeps their answers
-    per reached state itself (`learning.ObservationTable.fill`)."""
-
-    def __init__(self, aut):
-        moore = aut if isinstance(aut, MooreAutomaton) else embed_moore(aut)
-        self.tests, self.delta, self.outputs = aut.tests.tests, moore.delta, moore.outputs
-        self.actions, self.initial = aut.actions, aut.initial
-        self.index = {p: i for i, p in enumerate(aut.actions)}
-
-    def walk(self, x, word, last=None):
+    def _walk(self, x, word, last=None):
         """The state reached from x by a word of (atom, action) letters, or the
         output bit at a last atom; each letter's tests and action are checked."""
-        tests, index, delta, k = self.tests, self.index, self.delta, len(self.index)
+        tests, index, delta, k = self.tests.tests, self._index, self.delta, len(self.actions)
         try:
             for atom, p in word:
                 if atom.tests is not tests and atom.tests != tests:
@@ -188,16 +168,16 @@ class _Reading:
             raise ValueError("word atoms use different tests")
         return x if last is None else self.outputs[x][last.bits]
 
-    def accepts(self, x, columns) -> list:
+    def _accepts(self, x, columns) -> list:
         """The output bit at the end of each guarded string in columns,
         each read from state x."""
-        return [self.walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
+        return [self._walk(x, zip(e.atoms, e.actions), e.atoms[-1]) for e in columns]
 
-    def output_rows(self, x, columns, atoms) -> list:
+    def _output_rows(self, x, columns, atoms) -> list:
         """The output bits at `atoms` after each letter word e of columns
         from state x; canonical atoms read whole rows."""
-        rows = [self.outputs[self.walk(x, e)] for e in columns]
-        if rows and any(a.tests != self.tests for a in atoms):
+        rows = [self.outputs[self._walk(x, e)] for e in columns]
+        if rows and any(a.tests != self.tests.tests for a in atoms):
             raise ValueError("word atoms use different tests")
         picked = [a.bits for a in atoms]
         if rows and picked != list(range(len(self.outputs[0]))):
@@ -205,17 +185,25 @@ class _Reading:
         return rows
 
 
+# ===== Acceptance =====
+
+
+def _check_state(aut, x):
+    if not 0 <= x < len(aut.delta):
+        raise ValueError("state %r out of range" % (x,))
+
+
 def accepts_gkat(aut, state: int, w: GuardedString) -> int:
     """1 iff a machine of either kind accepts w from the given state."""
     _check_state(aut, state)
-    return aut._reading.walk(state, zip(w.atoms, w.actions), w.atoms[-1])
+    return aut._reading._walk(state, zip(w.atoms, w.actions), w.atoms[-1])
 
 
 def run_gkat_prefix(aut: GkatAutomaton, state: int, word) -> Optional[int]:
     """Follow a letter word of (atom, action) pairs; None when some step is
     missing or mislabeled, ValueError on a letter aut does not declare."""
     _check_state(aut, state)
-    x = aut._reading.walk(state, word)
+    x = aut._reading._walk(state, word)
     return None if x == aut.n_states else x
 
 

@@ -9,9 +9,10 @@ letter words, in events and public teacher calls. The guarded table's
 columns are guarded strings, a cell is one membership query, and only
 fringe rows holding a one need a matching upper row. The Moore table's
 columns are letter words, a cell is the word's output row, one query per
-atom, and every fringe row needs a matching upper row. A row's contents
-are its cells' CSV text, extended as cells fill; an index maps the upper
-rows' contents to states, and a fill touches only rows missing cells.
+atom, and every fringe row needs a matching upper row. A row's cells are
+stored once, as its contents: their CSV text, extended as cells fill; an
+index maps the upper rows' contents to states, and a fill touches only
+rows missing cells. `cells` is a view that parses a row's text on read.
 
 Each fill decides once how its teacher answers (`Teacher._reading_for`).
 `GkatTeacher` and `MooreTeacher` share a base whose target's Moore
@@ -34,6 +35,7 @@ it; an optional guarded-table mode fills forced-zero cells without a query.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import getitem
 from typing import Callable, Dict, List, Optional, Tuple
@@ -116,20 +118,20 @@ class _MachineTeacher(Teacher):
         # walk only when no override would miss the ask and the table's letter
         # numbers name the target's letters
         reading = self.target._reading
-        same = reading.tests == table.tests.tests and reading.actions == table.actions
+        same = reading.tests == table.tests and reading.actions == table.actions
         return reading if same and self._walks(table._method) else None
 
     def answer_row(self, t: tuple, columns: List[GuardedString]) -> list:
         if not self._walks():
             return super().answer_row(t, columns)
         reading = self.target._reading
-        return reading.accepts(reading.walk(reading.initial, t), columns)
+        return reading._accepts(reading._walk(reading.initial, t), columns)
 
     def answer_outputs(self, t: tuple, columns: List[tuple], atoms) -> list:
         if not self._walks():
             return super().answer_outputs(t, columns, atoms)
         reading = self.target._reading
-        return reading.output_rows(reading.walk(reading.initial, t), columns, atoms)
+        return reading._output_rows(reading._walk(reading.initial, t), columns, atoms)
 
 
 _OWN = {name: vars(_MachineTeacher)[name]  # as defined, whatever is set later
@@ -217,15 +219,31 @@ def format_event(kind: str, payload, table=None) -> str:
 # ===== Table engine =====
 
 
+class _Cells(Mapping):
+    """A table's `cells`: row t's list parsed from its contents on each read,
+    GL* bits as ints, L* output rows as tuples of ints; it holds no table."""
+
+    def __init__(self, contents: Dict[tuple, str], row_cells: bool):
+        self._contents, self._row_cells = contents, row_cells
+
+    def __getitem__(self, t) -> list:
+        cells = self._contents[t][1:].split(",")
+        return [tuple(map(int, c)) for c in cells] if self._row_cells else list(map(int, cells))
+
+    __iter__ = lambda self: iter(self._contents)
+    __len__ = lambda self: len(self._contents)
+
+
 class ObservationTable:
-    """Rows S and columns E, with cells stored row-major.
+    """Rows S and columns E, each row's cells stored once, as CSV text.
 
     A row is a tuple of letter numbers (`word` gives its letter word); the
     upper rows S start at the empty row and stay prefix-closed; the
     columns E stay suffix-closed and only grow at their end. Fringe rows
-    extend an upper row by one letter. `cells[t]` lists row t's values for
-    E[0], E[1], ...; after `fill` it holds one per column. Subclasses set
-    the cell kind: the first columns, how a counterexample splits into
+    extend an upper row by one letter. Row t's contents hold a comma and
+    its bits per cell, for E[0], E[1], ...: `_width` characters each, one
+    per column after `fill`; `cells[t]` lists them as values. Subclasses
+    set the cell kind: the first columns, how a counterexample splits into
     suffixes, how a row's missing cells are asked, which fringe rows need
     an upper match, the hypothesis read-off, and the cells' CSV text.
     """
@@ -250,10 +268,11 @@ class ObservationTable:
         self._s_set = {()}
         self.E = self._first_columns()
         self._e_set = set(self.E)
-        self.cells: Dict[tuple, list] = {}
         self._rows = None
         self._filled = 0  # all_rows()[:_filled] hold a cell per column
-        self._contents: Dict[tuple, str] = {}  # row -> its cells' CSV text
+        self._contents: Dict[tuple, str] = {}  # row -> its cells' CSV text, their one store
+        self.cells = _Cells(self._contents, self._row_cells)
+        self._width = len(self.atoms) + 1 if self._row_cells else 2  # characters per cell
         self._index: Dict[str, int] = {}  # upper row contents -> state
         self._labels: Dict[tuple, str] = {}  # row -> its CSV label
         self._header = ["row"]  # "row", then each column's text
@@ -300,12 +319,11 @@ class ObservationTable:
         first missing column), with their text and event bits, for every row
         that reaches it; else each row goes to the public row method.
         Zero-fill deduces row by row, after the siblings filled before."""
-        rows, cells, contents, E = self.all_rows(), self.cells, self._contents, self.E
+        rows, contents, E, chars = self.all_rows(), self._contents, self.E, self._width
         width, reading, memo, stats = len(E), self.teacher._reading_for(self), {}, self.stats
         delta, x0 = (reading.delta, reading.initial) if reading else ((), 0)
         for t in rows[self._filled:]:
-            row = cells.setdefault(t, [])
-            have = len(row)
+            have = len(text := contents.get(t, "")) // chars
             if have == width:
                 continue
             if self.zero_fill and (hit := self._deduce(t, have)):
@@ -318,8 +336,7 @@ class ObservationTable:
                     x = delta[x][i]
                 if (hit := memo.get((x, have))) is None:
                     hit = memo[x, have] = self._answer(t, E[have:], reading, x)
-            row += hit[0]
-            contents[t] = contents.get(t, "") + hit[1]
+            contents[t] = text + hit[1]
             stats.membership_queries += hit[2]
             if hit[2] and self.on_event is not None:
                 self._tell(t, hit)
@@ -332,7 +349,7 @@ class ObservationTable:
         asks a row: `_answer` gives the cells, their text, the query count,
         the `answers` event's tails and bits, and a slot for its QUERY ends."""
         reading = self.teacher._reading_for(self)
-        hit = self._answer(t, columns, reading, reading and reading.walk(
+        hit = self._answer(t, columns, reading, reading and reading._walk(
             reading.initial, self.word(t)))
         self.stats.membership_queries += hit[2]
         if hit[2] and self.on_event is not None:
@@ -392,8 +409,8 @@ class ObservationTable:
         width, upper = len(self.E), len(self.S)
         for i, t in enumerate(self.all_rows()):
             label = labels.get(t) or labels.setdefault(t, self._text(t).decode() or "ε")
-            lines.append(label + (" *" if i < upper else "") + contents.get(t, "")
-                         + "," * (width - len(self.cells.get(t, ()))))
+            lines.append(label + (" *" if i < upper else "") + (text := contents.get(t, ""))
+                         + "," * (width - len(text) // self._width))
         lines.append("")
         return "\r\n".join(lines)
 
@@ -434,6 +451,7 @@ class GlObservationTable(ObservationTable):
 
     _suffixes = staticmethod(suffixes_gs)
     _method = "answer_row"
+    _row_cells = False  # a cell is one bit
     _needs_match = staticmethod(lambda r: "1" in r)
     _cells_text = staticmethod(  # of one or more new cells
         lambda cells: "," + ",".join(bytes(cells).translate(_DIGITS).decode()))
@@ -442,27 +460,26 @@ class GlObservationTable(ObservationTable):
         """Row t's bit for each column, one query each, read from state x of
         the reading if given, else asked by `answer_row`."""
         bits = (self.teacher.answer_row(self.word(t), columns) if reading is None
-                else reading.accepts(x, columns))
+                else reading._accepts(x, columns))
         return [bits, self._cells_text(bits), len(columns), (columns, bits), None]
 
     def _deduce(self, t: tuple, have: int):
         # Fringe rows only: a cell is forced to zero when the parent row
         # accepts at the last atom, or when a sibling on another action is
-        # already known to reach an accepting continuation. This reads only
-        # the parent's and the siblings' cells, never row t's own.
-        parent, cells = t[:-1], self.cells
-        if not t or t in self._s_set or parent not in self._s_set or parent not in cells:
+        # already known to reach an accepting continuation. This reads only the
+        # parent's and the siblings' contents (cell i is character 2i+1), never t's.
+        parent, contents = t[:-1], self._contents
+        if not t or t in self._s_set or parent not in self._s_set or parent not in contents:
             return None
         bits, action = divmod(t[-1], len(self.actions))
         first = t[-1] - action
-        if cells[parent][bits] != 1 and not any(
-                1 in cells.get(parent + (first + q,), ())
+        if contents[parent][2 * bits + 1] != "1" and not any(
+                "1" in contents.get(parent + (first + q,), "")
                 for q in range(len(self.actions)) if q != action):
             return None
-        zeros = [0] * (len(self.E) - have)
         self.deduced.update((t, i) for i in range(have, len(self.E)))
-        self.stats.zero_filled += len(zeros)
-        return zeros, self._cells_text(zeros), 0, None
+        self.stats.zero_filled += len(self.E) - have
+        return None, ",0" * (len(self.E) - have), 0, None
 
     def hypothesis(self) -> GkatAutomaton:
         """Read off the automaton; state i is the row of S[i].
@@ -478,7 +495,7 @@ class GlObservationTable(ObservationTable):
             for atom in self.atoms:
                 first = atom.bits * k
                 live = [q for q in range(k) if "1" in contents[s + (first + q,)]]
-                accepts = self.cells[s][atom.bits] == 1
+                accepts = contents[s][2 * atom.bits + 1] == "1"
                 if len(live) > 1 or (live and accepts):
                     raise InternalInconsistencyError(
                         "observations branch at %s under %s" % (word_to_str(self.word(s)), atom)
@@ -510,14 +527,11 @@ class LStarObservationTable(ObservationTable):
 
     _suffixes = staticmethod(suffixes_word)
     _method = "answer_outputs"
+    _row_cells = True  # a cell is an output row
 
-    @staticmethod
-    def _needs_match(r: str) -> bool:
-        return True
-
-    @staticmethod
-    def _cells_text(cells: list) -> str:
-        return b"".join(map(b",".__add__, map(bytes, cells))).translate(_DIGITS).decode()
+    _needs_match = staticmethod(lambda r: True)
+    _cells_text = staticmethod(  # of one or more new output rows
+        lambda cells: b"".join(map(b",".__add__, map(bytes, cells))).translate(_DIGITS).decode())
 
     def _answer(self, t: tuple, columns: List[tuple], reading=None, x=None):
         """The output row of t + e for each column e, one query per atom,
@@ -526,7 +540,7 @@ class LStarObservationTable(ObservationTable):
         holds each column's tails e·a, built once."""
         ats, n = self.atoms, len(self.atoms)
         outputs = (self.teacher.answer_outputs(self.word(t), columns, ats) if reading is None
-                   else reading.output_rows(x, columns, ats))
+                   else reading._output_rows(x, columns, ats))
         told = None
         if self.on_event is not None:
             for e in self.E[len(self._tails) // n:]:
@@ -539,10 +553,8 @@ class LStarObservationTable(ObservationTable):
     def hypothesis(self) -> MooreAutomaton:
         """Read off the Moore machine; state i is the row of S[i]."""
         index, numbers = self._upper_index(), range(len(self.letters))
-        delta = tuple(
-            tuple(self._state(index, s + (i,)) for i in numbers) for s in self.S
-        )
-        outputs = tuple(self.cells[s][0] for s in self.S)
+        delta = tuple(tuple(self._state(index, s + (i,)) for i in numbers) for s in self.S)
+        outputs = tuple(tuple(map(int, self._contents[s][1:self._width])) for s in self.S)
         return MooreAutomaton(self.tests, self.actions, delta, outputs, 0)
 
 

@@ -218,6 +218,48 @@ def test_compare_is_deterministic(tmp_path):
     assert first == second
 
 
+def _readme_query_table() -> dict:
+    """README's extended query-cost table: tests -> its six other cells."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip().replace(",", "") for cell in line.strip("|").split("|")]
+        if line.startswith("| ") and cells[0].isdigit():
+            rows[int(cells[0])] = cells[1:]
+    return rows
+
+
+def test_readme_query_cost_table_holds(tmp_path):
+    """Every row of README's query-cost table fits the closed forms of
+    both criterion-6 families, and `gkat compare --sweep 9` asks exactly
+    those counts: GL* 6·4^n + 2^n and L* 27·4^n + 3·2^n on the if-family,
+    GL* 4·4^n + 9·2^n + 2 and L* 18·4^n + 3·2^n on the while-family."""
+    closed = {
+        "if": (lambda n: 6 * 4**n + 2**n, lambda n: 27 * 4**n + 3 * 2**n),
+        "while": (lambda n: 4 * 4**n + 9 * 2**n + 2, lambda n: 18 * 4**n + 3 * 2**n),
+    }
+    table = _readme_query_table()
+    assert sorted(table) == list(range(1, 13))
+    for n, cells in table.items():
+        for i, (gl, lstar) in enumerate(closed.values()):
+            g, l = gl(n), lstar(n)
+            assert cells[3 * i:3 * i + 3] == [str(g), str(l), "%.3f" % (g / l)], n
+    families = {
+        "if": ("if t1 then do p1 else do p2", "p1,p2,p3"),
+        "while": ("(while t1 do do p1); do p2", "p1,p2"),
+    }
+    tests = ",".join("t%d" % i for i in range(1, 10))
+    for name, (expr, actions) in families.items():
+        out_dir = tmp_path / name
+        assert main(["compare", "--expr", expr, "--tests", tests, "--actions", actions,
+                     "--sweep", "9", "--out-dir", str(out_dir)]) == 0
+        gl, lstar = closed[name]
+        asked = [(row[0], int(row[1]), int(row[2]))
+                 for row in read_csv(out_dir / "compare.csv")[1:]]
+        assert asked == [(algo, n, count(n)) for n in range(1, 10)
+                         for algo, count in (("glstar", gl), ("lstar", lstar))]
+
+
 def test_compare_sweep_needs_enough_tests(capsys):
     rc = main(
         [

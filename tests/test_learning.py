@@ -32,7 +32,7 @@ from gkat import (
     parse_exp,
     word_to_str,
 )
-from gkat.learning import ObservationTable
+from gkat.learning import ObservationTable, _learn
 from helpers import (
     all_rows_from_scratch,
     format_event_from_scratch,
@@ -755,7 +755,7 @@ def test_each_fill_walks_a_reached_state_once(monkeypatch):
     per (reached state, first missing column), and every other row that
     reaches that pair shares them: checked over one learner run of each
     table, whose fills ask more rows than they walk."""
-    from gkat.automata import _Reading
+    from gkat.automata import MooreAutomaton
 
     fills = []  # per fill: the (state, columns asked) walks, then the rows filled
     current = []
@@ -779,8 +779,8 @@ def test_each_fill_walks_a_reached_state_once(monkeypatch):
                 fills.append((current.pop(), rows))
         return wrapper
 
-    monkeypatch.setattr(_Reading, "accepts", walked(_Reading.accepts))
-    monkeypatch.setattr(_Reading, "output_rows", walked(_Reading.output_rows))
+    monkeypatch.setattr(MooreAutomaton, "_accepts", walked(MooreAutomaton._accepts))
+    monkeypatch.setattr(MooreAutomaton, "_output_rows", walked(MooreAutomaton._output_rows))
     monkeypatch.setattr(ObservationTable, "fill", counted(ObservationTable.fill))
     tests = TestSet(("b", "c"))
     e = parse_exp("(while b do (if c then do p else do q)); do p; assert c", tests, ACTS)
@@ -989,6 +989,34 @@ def test_observed_tables_hold_no_reference_cycle():
     finally:
         gc.enable()
 
+
+def test_a_table_keeps_its_cells_as_text():
+    """A table keeps each row's cells once, as its contents text: after GL*
+    learns the if-family over 8 tests, about 400,000 cell slots, tracemalloc
+    counts under 3 bytes per (row, column) slot held by the table."""
+    import gc
+    import tracemalloc
+
+    tests = TestSet(tuple("t%d" % i for i in range(1, 9)))
+    actions = ("p1", "p2", "p3")
+    target = gkat_automaton(parse_exp("if t1 then do p1 else do p2", tests, actions),
+                            tests, actions)
+    target._reading  # built before measuring: the target's, not the table's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = GlObservationTable(tests, actions, GkatTeacher(target), QueryStats())
+        _learn(table, False)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    slots = len(table.all_rows()) * len(table.E)
+    assert table.stats.membership_queries == slots == 393_472
+    assert kept < 3 * slots, kept / slots
+
+
 # ===== invariants on random targets =====
 
 def _check_every_fill(table):
@@ -1068,6 +1096,34 @@ def test_kept_rows_and_snapshots_equal_fresh_ones(monkeypatch):
                     assert bisimilar(aut, 0, target, 0)[0] == 1
             lstar_moore(MooreTeacher(minimize_moore(embed_moore(target))), tests, ACTS)
     assert len(seen) == 6
+
+
+def test_snapshot_at_every_event_equals_a_fresh_one():
+    """An observer's snapshot at every event equals the from-scratch
+    rendering, also in the middle of a fill (`answers`) and before the
+    refill (`columns`, `promote`): on both tables, both counterexample
+    modes, with zero-fill, and on the walking and the per-query path."""
+    missing = set()  # (table class, event kind) seen with cells still empty
+
+    def on_event(kind, payload, table):
+        header, body = table.snapshot()
+        assert (header, body) == snapshot_from_scratch(table)
+        if any(cell == "" for row in body for cell in row[1:]):
+            missing.add((type(table), kind))
+
+    rng = random.Random(73)
+    for tests in (T1, TestSet(("b", "c"))):
+        for _ in range(4):
+            target = rand_normal_automaton(rng, tests, ACTS, 5)
+            for teacher in (GkatTeacher(target), _LoggingGkatTeacher(target)):
+                for mode in ("suffix", "optimized"):
+                    for deduce in (False, True):
+                        glstar(teacher, tests, ACTS, cx_mode=mode, zero_fill=deduce,
+                               on_event=on_event)
+            for teacher in (MooreTeacher(target), _LoggingMooreTeacher(target)):
+                lstar_moore(teacher, tests, ACTS, on_event=on_event)
+    for table in (GlObservationTable, LStarObservationTable):
+        assert {(table, kind) for kind in ("answers", "columns", "promote")} <= missing
 
 
 def _table_invariants(table):
